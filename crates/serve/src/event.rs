@@ -22,11 +22,15 @@
 //!   before any same-instant preemption, scaling, or fault logic runs.
 //! - [`PriorityQueue`] keeps the waiting set ordered by
 //!   [`Request::rank_key`]: class rank first, then request id. It stores
-//!   only `(id, arena index)` pairs — one sorted lane per class, consumed
-//!   from the front through a `head` cursor — so queue membership costs
-//!   no `Request` copies and no allocation per event. Head-of-lane
-//!   removal (the overwhelmingly common dispatch path) is a cursor bump;
-//!   mid-lane removal (preemption remnant merges) shifts one lane.
+//!   only small slots (id, arena index, work key) — one sorted lane per
+//!   class, consumed from the front through a `head` cursor — so queue
+//!   membership costs no `Request` copies. Head-of-lane removal (the
+//!   overwhelmingly common dispatch path) is a cursor bump; mid-lane
+//!   removal (an SJF pick, a preemption remnant merge) shifts one lane.
+//!   A queue serving a shortest-job-first policy also keeps a per-class
+//!   ordered index keyed by (expected remaining work, request id), so
+//!   the SJF pick is the head lane's first index entry instead of a
+//!   rescan of the class.
 //!   The property the determinism tests lean on survives the layout:
 //!   iteration order is a pure function of the queue's *contents*. Order
 //!   stability matters because two requests of equal priority must
@@ -40,7 +44,7 @@
 //! materialized `Vec<Request>` per event batch.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use crate::request::Request;
 use swat_workloads::RequestClass;
@@ -434,29 +438,57 @@ impl EventQueue {
     }
 }
 
-/// One class's waiting requests: `(id, arena index)` pairs sorted by id,
-/// live from `head` onward. The consumed prefix is reclaimed lazily so a
-/// steady-state dispatch is a cursor bump, not a memmove.
+/// One waiting request in a class lane.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Request id — the lane's sort key.
+    id: u64,
+    /// Dense arena index of the request.
+    index: u32,
+    /// The request's [`work_key`] at push time, so removal can find its
+    /// work-index entry; 0 in an unindexed queue.
+    work: u64,
+}
+
+/// The work index's key for a request's
+/// [`Request::expected_remaining_work`]: an integer that sorts exactly
+/// like `f64::total_cmp`. The mapping is a bijection, so equal keys mean
+/// bitwise-equal work and the index ties exactly where the linear scan
+/// ties. Plain `to_bits` would do for the non-negative work a validated
+/// decode plan yields, but `Simulation::run` does not validate plans,
+/// and an exit probability above 2 makes the expectation negative.
+fn work_key(work: f64) -> u64 {
+    let bits = work.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// One class's waiting requests sorted by id, live from `head` onward.
+/// The consumed prefix is reclaimed lazily so a steady-state dispatch is
+/// a cursor bump, not a memmove.
 #[derive(Debug, Default)]
 struct Lane {
-    slots: Vec<(u64, u32)>,
+    slots: Vec<Slot>,
     head: usize,
 }
 
 impl Lane {
     /// The live (still-waiting) slice in id order.
-    fn live(&self) -> &[(u64, u32)] {
+    fn live(&self) -> &[Slot] {
         &self.slots[self.head..]
     }
 
     /// Position of `id` within the live slice.
     fn position(&self, id: u64) -> Result<usize, usize> {
-        self.live().binary_search_by_key(&id, |&(id, _)| id)
+        self.live().binary_search_by_key(&id, |s| s.id)
     }
 
     /// Removes the live entry at `pos`, reclaiming the dead prefix when
     /// it dominates the buffer.
-    fn remove_at(&mut self, pos: usize) -> (u64, u32) {
+    fn remove_at(&mut self, pos: usize) -> Slot {
         let entry = if pos == 0 {
             let entry = self.slots[self.head];
             self.head += 1;
@@ -483,16 +515,36 @@ impl Lane {
 /// higher classes always occupy the front and arrival order is preserved
 /// within a class. See the module docs for why this order *stability* is
 /// load-bearing for determinism.
+///
+/// A queue built by [`PriorityQueue::with_work_index`] also keeps, per
+/// class, an ordered set of `(work key, request id)` — the key is
+/// [`Request::expected_remaining_work`] mapped to an order-preserving
+/// integer when the request is pushed — so
+/// [`QueueView::shortest_in_head_class`] answers in O(log n) instead of
+/// scanning the head class. Each push, take and removal pays one ordered
+/// set update for it, so the simulator builds the index only for
+/// policies that rank by remaining work
+/// ([`DispatchPolicy::ranks_by_remaining_work`](crate::policy::DispatchPolicy::ranks_by_remaining_work)).
 #[derive(Debug, Default)]
 pub struct PriorityQueue {
     lanes: [Lane; LANE_COUNT],
+    by_work: Option<[BTreeSet<(u64, u64)>; LANE_COUNT]>,
     len: usize,
 }
 
 impl PriorityQueue {
-    /// An empty queue.
+    /// An empty queue without the work index.
     pub fn new() -> PriorityQueue {
         PriorityQueue::default()
+    }
+
+    /// An empty queue that keeps the per-class work index behind
+    /// [`QueueView::shortest_in_head_class`].
+    pub fn with_work_index() -> PriorityQueue {
+        PriorityQueue {
+            by_work: Some(Default::default()),
+            ..PriorityQueue::default()
+        }
     }
 
     /// Waiting requests.
@@ -509,21 +561,36 @@ impl PriorityQueue {
     ///
     /// Appends in O(1) for the common monotone-id arrival stream; a
     /// requeued preemption remnant (id below the lane tail) pays one
-    /// in-lane shift to keep the lane sorted.
+    /// in-lane shift to keep the lane sorted. On a work-indexed queue the
+    /// request's current expected remaining work becomes its index key
+    /// until it leaves the queue.
     ///
     /// # Panics
     ///
     /// Panics if a request with the same id and class is already queued
     /// (ids must be unique for the dispatch order to be total).
     pub fn push(&mut self, request: &Request, index: u32) {
-        let lane = &mut self.lanes[request.class.rank() as usize];
-        match lane.position(request.id) {
-            Ok(_) => panic!("duplicate request id {} in the queue", request.id),
-            Err(pos) => {
-                let at = lane.head + pos;
-                lane.slots.insert(at, (request.id, index));
+        let class = request.class.rank() as usize;
+        let lane = &mut self.lanes[class];
+        let Err(pos) = lane.position(request.id) else {
+            panic!("duplicate request id {} in the queue", request.id);
+        };
+        let work = match &mut self.by_work {
+            Some(by_work) => {
+                let work = work_key(request.expected_remaining_work());
+                by_work[class].insert((work, request.id));
+                work
             }
-        }
+            None => 0,
+        };
+        lane.slots.insert(
+            lane.head + pos,
+            Slot {
+                id: request.id,
+                index,
+                work,
+            },
+        );
         self.len += 1;
     }
 
@@ -539,11 +606,9 @@ impl PriorityQueue {
     /// of one request merges into its already-queued remnant instead of
     /// colliding with it.
     pub fn remove(&mut self, key: (u8, u64)) -> Option<u32> {
-        let lane = &mut self.lanes[key.0 as usize];
-        let pos = lane.position(key.1).ok()?;
-        let (_, index) = lane.remove_at(pos);
-        self.len -= 1;
-        Some(index)
+        let class = key.0 as usize;
+        let pos = self.lanes[class].position(key.1).ok()?;
+        Some(self.remove_at(class, pos))
     }
 
     /// Removes the request at `index` of the dispatch order (the order a
@@ -554,16 +619,26 @@ impl PriorityQueue {
     /// Panics if `index` is out of range.
     pub fn take(&mut self, index: usize) -> u32 {
         let mut at = index;
-        for lane in &mut self.lanes {
-            let live = lane.slots.len() - lane.head;
+        for class in 0..LANE_COUNT {
+            let live = self.lanes[class].live().len();
             if at < live {
-                let (_, slot) = lane.remove_at(at);
-                self.len -= 1;
-                return slot;
+                return self.remove_at(class, at);
             }
             at -= live;
         }
         panic!("queue index {index} out of range");
+    }
+
+    /// Removes the live entry at `pos` of lane `class`, with its
+    /// work-index entry, and returns its arena index.
+    fn remove_at(&mut self, class: usize, pos: usize) -> u32 {
+        let slot = self.lanes[class].remove_at(pos);
+        if let Some(by_work) = &mut self.by_work {
+            let indexed = by_work[class].remove(&(slot.work, slot.id));
+            debug_assert!(indexed, "request {} missing from the work index", slot.id);
+        }
+        self.len -= 1;
+        slot.index
     }
 
     /// The queue in dispatch order as a by-value window over the request
@@ -571,7 +646,11 @@ impl PriorityQueue {
     pub fn view<'a>(&'a self, requests: &'a [Request]) -> QueueView<'a> {
         let lanes = std::array::from_fn(|i| self.lanes[i].live());
         QueueView {
-            kind: ViewKind::Ranked { requests, lanes },
+            kind: ViewKind::Ranked {
+                requests,
+                lanes,
+                by_work: self.by_work.as_ref(),
+            },
             len: self.len,
         }
     }
@@ -591,10 +670,12 @@ pub struct QueueView<'a> {
 
 #[derive(Debug, Clone, Copy)]
 enum ViewKind<'a> {
-    /// Per-class lanes of `(id, arena index)` over the request arena.
+    /// Per-class lanes over the request arena, with the queue's work
+    /// index when it keeps one.
     Ranked {
         requests: &'a [Request],
-        lanes: [&'a [(u64, u32)]; LANE_COUNT],
+        lanes: [&'a [Slot]; LANE_COUNT],
+        by_work: Option<&'a [BTreeSet<(u64, u64)>; LANE_COUNT]>,
     },
     /// A plain slice already in dispatch order.
     Flat(&'a [Request]),
@@ -627,11 +708,13 @@ impl<'a> QueueView<'a> {
     pub fn get(&self, index: usize) -> &'a Request {
         match self.kind {
             ViewKind::Flat(requests) => &requests[index],
-            ViewKind::Ranked { requests, lanes } => {
+            ViewKind::Ranked {
+                requests, lanes, ..
+            } => {
                 let mut at = index;
                 for lane in lanes {
                     if at < lane.len() {
-                        return &requests[lane[at].1 as usize];
+                        return &requests[lane[at].index as usize];
                     }
                     at -= lane.len();
                 }
@@ -644,6 +727,58 @@ impl<'a> QueueView<'a> {
     /// in-order policy.
     pub fn first(&self) -> Option<&'a Request> {
         (self.len > 0).then(|| self.get(0))
+    }
+
+    /// The shortest-job-first pick: the request with the smallest
+    /// [`Request::expected_remaining_work`] within the highest waiting
+    /// class, ties to the earliest in dispatch order, with its position
+    /// in the view. `None` on an empty queue.
+    ///
+    /// A view of a work-indexed queue ([`PriorityQueue::with_work_index`])
+    /// takes the head lane's smallest index entry and finds its position
+    /// by binary search on id: O(log n). Any other view — a
+    /// [`QueueView::flat`] slice or an unindexed queue — scans the head
+    /// class, which is also the reference every indexed pick is checked
+    /// against in debug builds.
+    pub fn shortest_in_head_class(&self) -> Option<(usize, &'a Request)> {
+        let ViewKind::Ranked {
+            requests,
+            lanes,
+            by_work: Some(by_work),
+        } = self.kind
+        else {
+            return self.scan_shortest_in_head_class();
+        };
+        // The head lane is the first non-empty one, so a position within
+        // it is also its position in the view.
+        let class = lanes.iter().position(|lane| !lane.is_empty())?;
+        let &(_, id) = by_work[class]
+            .first()
+            .expect("every queued request is indexed");
+        let pos = lanes[class]
+            .binary_search_by_key(&id, |s| s.id)
+            .expect("every indexed request is queued");
+        let pick = &requests[lanes[class][pos].index as usize];
+        debug_assert_eq!(
+            self.scan_shortest_in_head_class().map(|(i, r)| (i, r.id)),
+            Some((pos, pick.id)),
+            "work index diverged from the head-class scan"
+        );
+        Some((pos, pick))
+    }
+
+    /// [`QueueView::shortest_in_head_class`] by linear scan: walks the
+    /// head class, recomputing each entry's expected remaining work.
+    fn scan_shortest_in_head_class(&self) -> Option<(usize, &'a Request)> {
+        let head_class = self.first()?.class;
+        self.iter()
+            .enumerate()
+            .take_while(|(_, r)| r.class == head_class)
+            .min_by(|(i, a), (j, b)| {
+                a.expected_remaining_work()
+                    .total_cmp(&b.expected_remaining_work())
+                    .then(i.cmp(j))
+            })
     }
 
     /// Iterates the queue in dispatch order.
@@ -924,5 +1059,172 @@ mod tests {
         let mut q = PriorityQueue::new();
         q.push(&requests[0], 0);
         q.push(&requests[1], 1);
+    }
+
+    /// A request of `class` whose one-step work is `seq_len` tokens per
+    /// job, running `steps` certain (no-exit) decode steps.
+    fn decoding(id: u64, seq_len: usize, steps: u32, class: RequestClass) -> Request {
+        Request::classed(id, 0.0, RequestShape { seq_len, ..shape() }, class).with_decode(
+            swat_workloads::DecodePlan {
+                steps,
+                exit_prob: 0.0,
+                exit_seed: id,
+            },
+        )
+    }
+
+    /// The SJF pick of `q` over `requests` as (view position, id).
+    fn pick(q: &PriorityQueue, requests: &[Request]) -> Option<(usize, u64)> {
+        q.view(requests)
+            .shortest_in_head_class()
+            .map(|(i, r)| (i, r.id))
+    }
+
+    #[test]
+    fn work_index_ties_go_to_the_lowest_id() {
+        // Three equal-work requests around a bigger one, pushed out of id
+        // order: the pick is the lowest id, then the next lowest.
+        let requests = [
+            decoding(7, 512, 1, RequestClass::Interactive),
+            decoding(3, 512, 1, RequestClass::Interactive),
+            decoding(1, 2048, 1, RequestClass::Interactive),
+            decoding(5, 512, 1, RequestClass::Interactive),
+        ];
+        let mut q = PriorityQueue::with_work_index();
+        for (i, r) in requests.iter().enumerate() {
+            q.push(r, i as u32);
+        }
+        // Dispatch order is ids [1, 3, 5, 7].
+        assert_eq!(pick(&q, &requests), Some((1, 3)));
+        assert_eq!(q.take(1), 1, "arena index of id 3");
+        assert_eq!(pick(&q, &requests), Some((1, 5)));
+        assert_eq!(q.take(1), 3, "arena index of id 5");
+        assert_eq!(pick(&q, &requests), Some((1, 7)));
+        assert_eq!(q.take(1), 0, "arena index of id 7");
+        assert_eq!(pick(&q, &requests), Some((0, 1)), "the big one is last");
+        q.take(0);
+        assert_eq!(pick(&q, &requests), None);
+    }
+
+    #[test]
+    fn requeued_decode_remnant_ranks_by_its_new_key() {
+        // Ids 0 (one-shot, 1024 tokens/job), 2 (four 512-token steps) and
+        // 4 (two 1024-token steps). Fresh, id 2 owes twice id 0's work.
+        let mut requests = [
+            decoding(0, 1024, 1, RequestClass::Interactive),
+            decoding(2, 512, 4, RequestClass::Interactive),
+            decoding(4, 1024, 2, RequestClass::Interactive),
+        ];
+        let mut q = PriorityQueue::with_work_index();
+        for (i, r) in requests.iter().enumerate() {
+            q.push(r, i as u32);
+        }
+        assert_eq!(pick(&q, &requests), Some((0, 0)));
+        // Id 2 dispatches and runs three steps; its remnant re-enters
+        // mid-lane owing one 512-token step — now the smallest.
+        assert_eq!(q.take(1), 1);
+        requests[1].steps_done = 3;
+        q.push(&requests[1], 1);
+        assert_eq!(pick(&q, &requests), Some((1, 2)));
+        let flat = [requests[0], requests[1], requests[2]];
+        assert_eq!(
+            QueueView::flat(&flat)
+                .shortest_in_head_class()
+                .map(|(i, r)| (i, r.id)),
+            Some((1, 2)),
+            "the flat scan agrees"
+        );
+    }
+
+    #[test]
+    fn remove_by_rank_key_drops_the_index_entry() {
+        let requests = [
+            decoding(0, 2048, 1, RequestClass::Background),
+            decoding(1, 512, 1, RequestClass::Background),
+            decoding(2, 1024, 1, RequestClass::Background),
+        ];
+        let mut q = PriorityQueue::with_work_index();
+        for (i, r) in requests.iter().enumerate() {
+            q.push(r, i as u32);
+        }
+        assert_eq!(pick(&q, &requests), Some((1, 1)));
+        // A preemption merge or card death pulls the queued remnant out
+        // by key: the pick must move on, not name the departed request.
+        assert_eq!(q.remove(requests[1].rank_key()), Some(1));
+        assert_eq!(pick(&q, &requests), Some((1, 2)));
+        // Re-pushing the merged remnant under the same id re-indexes it.
+        q.push(&requests[1], 1);
+        assert_eq!(pick(&q, &requests), Some((1, 1)));
+        for r in &requests {
+            assert!(q.remove(r.rank_key()).is_some());
+        }
+        assert_eq!(pick(&q, &requests), None, "an emptied queue picks nothing");
+    }
+
+    #[test]
+    fn higher_class_arrival_switches_the_head_lane() {
+        let requests = [
+            decoding(0, 512, 1, RequestClass::Batch),
+            decoding(1, 256, 1, RequestClass::Batch),
+            decoding(2, 8192, 1, RequestClass::Interactive),
+            decoding(3, 128, 1, RequestClass::Background),
+        ];
+        let mut q = PriorityQueue::with_work_index();
+        q.push(&requests[3], 3);
+        assert_eq!(pick(&q, &requests), Some((0, 3)));
+        q.push(&requests[0], 0);
+        q.push(&requests[1], 1);
+        assert_eq!(
+            pick(&q, &requests),
+            Some((1, 1)),
+            "batch outranks background"
+        );
+        // A big interactive arrival takes the head lane despite its size.
+        q.push(&requests[2], 2);
+        assert_eq!(pick(&q, &requests), Some((0, 2)));
+        assert_eq!(q.take(0), 2);
+        assert_eq!(pick(&q, &requests), Some((1, 1)), "back to the batch lane");
+    }
+
+    #[test]
+    fn unindexed_queue_gives_the_same_pick() {
+        let mut requests: Vec<Request> = (0..24u64)
+            .map(|id| {
+                let class = RequestClass::ALL[(id % 3) as usize];
+                decoding(id, 256 << (id * 7 % 4), 1 + (id * 5 % 4) as u32, class)
+            })
+            .collect();
+        let mut indexed = PriorityQueue::with_work_index();
+        let mut plain = PriorityQueue::new();
+        for (i, r) in requests.iter().enumerate() {
+            indexed.push(r, i as u32);
+            plain.push(r, i as u32);
+        }
+        // Dispatch every pick; every third one comes back as a remnant
+        // one step further on.
+        for round in 0..40 {
+            let expect = pick(&plain, &requests);
+            assert_eq!(pick(&indexed, &requests), expect, "round {round}");
+            let Some((qi, _)) = expect else { break };
+            let a = indexed.take(qi);
+            assert_eq!(plain.take(qi), a);
+            let r = &mut requests[a as usize];
+            if round % 3 == 0 && r.steps_done + 1 < r.decode.steps {
+                r.steps_done += 1;
+                indexed.push(r, a);
+                plain.push(r, a);
+            }
+        }
+        assert!(plain.is_empty() && indexed.is_empty());
+    }
+
+    #[test]
+    fn work_key_sorts_like_total_cmp() {
+        let values = [0.0, 1.0, 1.5, 2.0, 1e300, f64::INFINITY, -0.0, -3.0];
+        for a in values {
+            for b in values {
+                assert_eq!(work_key(a).cmp(&work_key(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
     }
 }

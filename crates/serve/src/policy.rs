@@ -124,6 +124,22 @@ pub trait DispatchPolicy {
         self.choose(now, queue, cards)
             .map(|(qi, card)| (qi, vec![card]))
     }
+
+    /// Whether the policy picks through
+    /// [`QueueView::shortest_in_head_class`]. The simulator reads this
+    /// once per run and keeps the waiting queue's work index only when it
+    /// is `true` (see [`crate::event::PriorityQueue::with_work_index`]);
+    /// any other policy would pay for index updates it never reads.
+    fn ranks_by_remaining_work(&self) -> bool {
+        false
+    }
+}
+
+/// Whether any card has an idle pipeline — the check both SJF policies
+/// make before paying for a pick, so a dispatch round's closing, failing
+/// call costs one pass over the cards.
+fn any_idle(cards: &[CardView]) -> bool {
+    cards.iter().any(|c| c.idle_pipelines > 0)
 }
 
 /// The total order "which idle card finishes `shape` soonest": smallest
@@ -289,31 +305,24 @@ impl DispatchPolicy for LeastLoaded {
 /// documents under pressure — the classic SJF trade, visible directly in
 /// the p99/p50 gap. Only reorders *within* the highest waiting class, so
 /// a tiny background job never jumps an interactive one.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShortestJobFirst;
-
-/// The smallest waiting request within the highest waiting class — the
-/// SJF pick, shared by the whole-request and sharded variants. "Small"
-/// is *predicted remaining decode work*
+///
+/// "Small" is *predicted remaining decode work*
 /// ([`Request::expected_remaining_work`]): remaining steps weighted by
 /// the early-exit survival curve, times the per-step token grid. For
 /// one-shot requests that value is exactly `work_tokens() as f64`, so
 /// the classic ranking is preserved bitwise; for decode remnants
 /// requeued at a step boundary it lets a short fresh request overtake a
 /// long decode mid-flight — the reordering continuous batching needs to
-/// win on interactive p99.
-fn shortest_in_head_class<'a>(queue: QueueView<'a>) -> Option<(usize, &'a Request)> {
-    let head_class = queue.first()?.class;
-    queue
-        .iter()
-        .enumerate()
-        .take_while(|(_, r)| r.class == head_class)
-        .min_by(|(i, a), (j, b)| {
-            a.expected_remaining_work()
-                .total_cmp(&b.expected_remaining_work())
-                .then(i.cmp(j))
-        })
-}
+/// win on interactive p99. Ties go to the earliest request in dispatch
+/// order.
+///
+/// The pick is [`QueueView::shortest_in_head_class`]: O(log n) in the
+/// simulator, whose queue keeps a work index for this policy
+/// ([`DispatchPolicy::ranks_by_remaining_work`]), and a scan of the head
+/// class over a [`QueueView::flat`] slice. With no idle pipeline the
+/// policy returns `None` before picking.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ShortestJobFirst;
 
 impl DispatchPolicy for ShortestJobFirst {
     fn name(&self) -> &'static str {
@@ -321,9 +330,16 @@ impl DispatchPolicy for ShortestJobFirst {
     }
 
     fn choose(&mut self, _now: f64, queue: QueueView<'_>, cards: &[CardView]) -> Option<Dispatch> {
-        let (qi, request) = shortest_in_head_class(queue)?;
+        if !any_idle(cards) {
+            return None;
+        }
+        let (qi, request) = queue.shortest_in_head_class()?;
         let card = soonest_idle(cards, &request.shape)?;
         Some((qi, card))
+    }
+
+    fn ranks_by_remaining_work(&self) -> bool {
+        true
     }
 }
 
@@ -408,7 +424,9 @@ impl DispatchPolicy for ShardedLeastLoaded {
 /// `max_shards` idle pipelines of one card group, with the same
 /// adaptive-width default (and [`ShardedShortestJobFirst::fixed`]
 /// baseline) as [`ShardedLeastLoaded`]. `max_shards == 1` is exactly
-/// `shortest-job-first`.
+/// `shortest-job-first`. The pick is the same O(log n) indexed
+/// [`QueueView::shortest_in_head_class`], made only once some pipeline
+/// is idle.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedShortestJobFirst {
     /// Most pipelines one request may fan out across (at least 1).
@@ -466,13 +484,20 @@ impl DispatchPolicy for ShardedShortestJobFirst {
         cards: &[CardView],
         cost: &CostModel,
     ) -> Option<ShardedDispatch> {
-        let (qi, request) = shortest_in_head_class(queue)?;
+        if !any_idle(cards) {
+            return None;
+        }
+        let (qi, request) = queue.shortest_in_head_class()?;
         let plan = if self.adaptive {
             adaptive_shard_targets(cards, request, queue.len() - 1, self.max_shards, cost, now)?
         } else {
             shard_targets(cards, &request.shape, self.max_shards)?
         };
         Some((qi, plan))
+    }
+
+    fn ranks_by_remaining_work(&self) -> bool {
+        true
     }
 }
 

@@ -551,7 +551,14 @@ impl<'a> Simulation<'a> {
             }
         }
 
-        let mut queue = PriorityQueue::new();
+        // Read once: a policy that ranks by remaining work gets the
+        // queue's work index (O(log n) picks); every other policy skips
+        // the index's per-push and per-take upkeep.
+        let mut queue = if policy.ranks_by_remaining_work() {
+            PriorityQueue::with_work_index()
+        } else {
+            PriorityQueue::new()
+        };
         // Whether hooks fire at all: the default NullSink opts out, so
         // the untraced path pays nothing beyond this one bool.
         let live = sink.enabled();
@@ -650,8 +657,9 @@ impl<'a> Simulation<'a> {
 
             // 2. Deliver this event and every other event due at exactly
             //    `now` (the heap already orders ties Arrival < Completion
-            //    < Preemption < Warmed < ScaleCheck, then card, then id)
-            //    before dispatching.
+            //    < StepComplete < Preemption < Warmed < ScaleCheck <
+            //    CardDeath < CardDegrade < CardRevive, then card, then
+            //    id, then shard) before dispatching.
             let mut next = Some(first);
             while let Some(event) = next {
                 counters.events_by_kind[event.kind_index()] += 1;

@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use swat_serve::arrival::ArrivalProcess;
 use swat_serve::cost::CostModel;
+use swat_serve::event::{PriorityQueue, QueueView};
 use swat_serve::fault::FaultPlan;
 use swat_serve::fleet::{CardGroup, FleetConfig};
 use swat_serve::metrics::percentile;
@@ -934,5 +935,87 @@ fn streaming_quantiles_track_exact_within_bounds() {
             b.energy_joules
         );
         last_energy = b.energy_joules;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The work-indexed SJF pick equals the linear scan over a flat copy
+    /// of the same waiting set after every push, take and keyed removal,
+    /// across production-mix traffic with random decode plans. Remnants
+    /// re-enter one step further on, as the simulator requeues them, and
+    /// `exit_prob = 0` makes equal keys common, so the tie-break is
+    /// exercised, not just the ordering.
+    #[test]
+    fn work_index_pick_matches_the_flat_scan(
+        seed in any::<u64>(),
+        min_steps in 1u32..4,
+        extra_steps in 0u32..4,
+        exit_prob in prop_oneof![Just(0.0f64), 0.0f64..0.9],
+        ops in proptest::collection::vec((0u8..4, any::<u64>()), 1..400),
+    ) {
+        let plans = DecodeMix {
+            min_steps,
+            max_steps: min_steps + extra_steps,
+            exit_prob,
+        };
+        let spec = TrafficSpec {
+            arrivals: ArrivalProcess::poisson(50.0),
+            mix: RequestMix::Production,
+            seed,
+        };
+        let mut requests = spec.decode_requests(64, &plans);
+        let mut queued = vec![false; requests.len()];
+        let mut queue = PriorityQueue::with_work_index();
+        for (op, pick) in ops {
+            let waiting = queued.iter().filter(|&&q| q).count();
+            match op {
+                // Push a request that is not waiting: fresh, or a remnant
+                // one decode step further on.
+                0 | 1 => {
+                    let idle: Vec<usize> = (0..requests.len()).filter(|&i| !queued[i]).collect();
+                    if idle.is_empty() {
+                        continue;
+                    }
+                    let i = idle[(pick % idle.len() as u64) as usize];
+                    let r = &mut requests[i];
+                    if op == 1 && r.steps_done + 1 < r.decode.steps {
+                        r.steps_done += 1;
+                    }
+                    queue.push(r, i as u32);
+                    queued[i] = true;
+                }
+                // Take by view position (a dispatch).
+                2 => {
+                    if waiting == 0 {
+                        continue;
+                    }
+                    let i = queue.take((pick % waiting as u64) as usize) as usize;
+                    prop_assert!(queued[i]);
+                    queued[i] = false;
+                }
+                // Remove by rank key (a preemption merge or card death).
+                _ => {
+                    let i = (pick % requests.len() as u64) as usize;
+                    let removed = queue.remove(requests[i].rank_key());
+                    prop_assert_eq!(removed, queued[i].then_some(i as u32));
+                    queued[i] = false;
+                }
+            }
+            let mut flat: Vec<_> = (0..requests.len())
+                .filter(|&i| queued[i])
+                .map(|i| requests[i])
+                .collect();
+            flat.sort_by_key(|r| r.rank_key());
+            let view = queue.view(&requests);
+            prop_assert_eq!(view.len(), flat.len());
+            prop_assert_eq!(
+                view.shortest_in_head_class().map(|(i, r)| (i, r.id)),
+                QueueView::flat(&flat)
+                    .shortest_in_head_class()
+                    .map(|(i, r)| (i, r.id))
+            );
+        }
     }
 }
