@@ -30,11 +30,11 @@ use swat_bench::{banner, print_table};
 use swat_serve::arrival::ArrivalProcess;
 use swat_serve::fleet::FleetConfig;
 use swat_serve::json::Json;
-use swat_serve::policy::{LeastLoaded, ShardedLeastLoaded, ShardedShortestJobFirst};
+use swat_serve::policy::{LeastLoaded, ShortestJobFirst};
 use swat_serve::scale::AutoscalerConfig;
 use swat_serve::sim::{AdmissionControl, PreemptionControl, Simulation, TrafficSpec};
 use swat_serve::trace::TelemetryMode;
-use swat_workloads::{DecodeMix, RequestMix};
+use swat_workloads::{DecodeMix, RequestClass, RequestMix};
 
 /// Default requests per scenario.
 const DEFAULT_REQUESTS: usize = 10_000;
@@ -121,7 +121,7 @@ fn main() {
         Scenario {
             name: "homogeneous",
             sim: Simulation::new(&homogeneous).arrivals_label(label(&poisson)),
-            policy: Box::new(LeastLoaded),
+            policy: Box::new(LeastLoaded::default()),
             spec: poisson,
             count: requests,
             decode: None,
@@ -130,8 +130,8 @@ fn main() {
             name: "priority-shed",
             sim: Simulation::new(&homogeneous)
                 .arrivals_label(label(&overload))
-                .admission(AdmissionControl::shed_background_at(32)),
-            policy: Box::new(LeastLoaded),
+                .admission(AdmissionControl::admit_all().with_cap(RequestClass::Background, 32)),
+            policy: Box::new(LeastLoaded::default()),
             spec: overload,
             count: requests,
             decode: None,
@@ -141,7 +141,7 @@ fn main() {
             sim: Simulation::new(&preemption_fleet)
                 .arrivals_label(label(&lulls))
                 .preemption(PreemptionControl::after_wait(0.1)),
-            policy: Box::new(LeastLoaded),
+            policy: Box::new(LeastLoaded::default()),
             spec: lulls,
             count: requests,
             decode: None,
@@ -151,7 +151,7 @@ fn main() {
             sim: Simulation::new(&homogeneous)
                 .arrivals_label(label(&diurnal))
                 .autoscale(AutoscalerConfig::standard().with_min_cards(2)),
-            policy: Box::new(LeastLoaded),
+            policy: Box::new(LeastLoaded::default()),
             spec: diurnal,
             count: requests,
             decode: None,
@@ -159,7 +159,7 @@ fn main() {
         Scenario {
             name: "sharded-adaptive",
             sim: Simulation::new(&sharded_fleet).arrivals_label(label(&light)),
-            policy: Box::new(ShardedLeastLoaded::new(4)),
+            policy: Box::new(LeastLoaded::new(4)),
             spec: light,
             count: requests,
             decode: None,
@@ -169,7 +169,7 @@ fn main() {
             sim: Simulation::new(&homogeneous)
                 .arrivals_label(label(&poisson))
                 .telemetry(TelemetryMode::Streaming),
-            policy: Box::new(LeastLoaded),
+            policy: Box::new(LeastLoaded::default()),
             spec: poisson,
             count: requests,
             decode: None,
@@ -181,7 +181,7 @@ fn main() {
         Scenario {
             name: "decode-loop",
             sim: Simulation::new(&sharded_fleet).arrivals_label(label(&light)),
-            policy: Box::new(ShardedShortestJobFirst::new(4)),
+            policy: Box::new(ShortestJobFirst::new(4)),
             spec: light,
             count: requests,
             decode: Some(DecodeMix {
@@ -197,7 +197,7 @@ fn main() {
         Scenario {
             name: "headline",
             sim: Simulation::new(&homogeneous).arrivals_label(label(&poisson)),
-            policy: Box::new(LeastLoaded),
+            policy: Box::new(LeastLoaded::default()),
             spec: poisson,
             count: headline,
             decode: None,

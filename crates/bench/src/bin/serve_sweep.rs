@@ -80,7 +80,7 @@ use swat_serve::scenario::{
     FaultKindSpec, FaultSpec, FleetSpec, PolicySpec, PreemptionSpec, ScenarioSpec, TrafficModel,
 };
 use swat_serve::sim::{AdmissionControl, DecodeBatching};
-use swat_workloads::{DecodeMix, RequestMix, SessionProfile};
+use swat_workloads::{DecodeMix, RequestClass, RequestMix, SessionProfile};
 
 /// Default requests per sweep cell.
 const DEFAULT_REQUESTS: usize = 10_000;
@@ -247,7 +247,7 @@ fn sweep_scenarios(seed: u64, requests: usize) -> Vec<ScenarioDef> {
             ("admit-all", AdmissionControl::admit_all()),
             (
                 "shed-background",
-                AdmissionControl::shed_background_at(background_cap),
+                AdmissionControl::admit_all().with_cap(RequestClass::Background, background_cap),
             ),
         ]
         .into_iter()

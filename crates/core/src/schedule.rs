@@ -467,4 +467,43 @@ mod tests {
             0.0,
         );
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `admit_run` is `count` successive `admit_on` calls, the first
+        /// taking `first_duration`: its return value and the `next_free`
+        /// it leaves are bitwise the last call's `end`, whether
+        /// `not_before` falls before, at or after the pipeline's horizon.
+        #[test]
+        fn admit_run_matches_job_by_job_admission(
+            horizon in 0.0f64..10.0,
+            side in 0u8..3,
+            gap in 0.0f64..5.0,
+            first_duration in 1e-6f64..2.0,
+            duration in 1e-6f64..2.0,
+            count in 1usize..64,
+        ) {
+            let not_before = match side {
+                0 => horizon - gap,
+                1 => horizon,
+                _ => horizon + gap,
+            };
+            let job = |head| Job { batch: 0, layer: 0, head };
+            let mut run = PipelineAgenda::new(2);
+            if horizon > 0.0 {
+                run.admit_on(1, job(0), 0.0, horizon);
+            }
+            let mut by_job = run.clone();
+            let finish = run.admit_run(1, not_before, first_duration, duration, count);
+            let mut end = f64::NAN;
+            for head in 0..count {
+                let d = if head == 0 { first_duration } else { duration };
+                end = by_job.admit_on(1, job(head), not_before, d).end;
+            }
+            proptest::prop_assert_eq!(finish.to_bits(), end.to_bits());
+            proptest::prop_assert_eq!(run.drain_times()[1].to_bits(), end.to_bits());
+            proptest::prop_assert_eq!(run.drain_times(), by_job.drain_times());
+        }
+    }
 }

@@ -11,7 +11,7 @@
 use crate::cost::CardCostModel;
 use crate::request::Request;
 use swat::config::ConfigError;
-use swat::schedule::{Job, PipelineAgenda, Placement};
+use swat::schedule::PipelineAgenda;
 use swat::{SwatAccelerator, SwatConfig};
 use swat_hw::MemoryInterface;
 use swat_workloads::RequestShape;
@@ -444,19 +444,12 @@ impl Card {
     /// Admits a request at `now` onto this card's earliest-free pipeline.
     /// Only the request's [`remaining_jobs`](Request::remaining_jobs) are
     /// scheduled — a resumed request skips its checkpointed prefix but
-    /// pays [`Card::restart_seconds`] on top of any weight swap. When
-    /// `trace` is set, one [`Placement`] per admitted job is recorded into
-    /// `placements`. The whole-fragment special case of
-    /// [`Card::admit_jobs`]; the simulator dispatches through the sharded
-    /// form, so this wrapper survives as the test-suite vocabulary.
+    /// pays [`Card::restart_seconds`] on top of any weight swap. The
+    /// whole-fragment special case of [`Card::admit_jobs`]; the simulator
+    /// dispatches through the sharded form, so this wrapper survives as
+    /// the test-suite vocabulary.
     #[cfg(test)]
-    pub(crate) fn admit(
-        &mut self,
-        request: &Request,
-        now: f64,
-        trace: bool,
-        placements: &mut Vec<Placement>,
-    ) -> Admission {
+    pub(crate) fn admit(&mut self, request: &Request, now: f64) -> Admission {
         let streams = self.pipelines() - self.idle_pipelines(now) + 1;
         self.admit_jobs(
             request,
@@ -464,8 +457,6 @@ impl Card {
             request.remaining_jobs(),
             streams,
             now,
-            trace,
-            placements,
         )
     }
 
@@ -488,9 +479,11 @@ impl Card {
     /// is what makes realized admissions charge the same contention the
     /// planner priced: under the old per-admission count, the first
     /// sibling missed the shards about to join it.
-    // One argument per admission term; bundling them would just move
-    // the same names into an ad-hoc struct at every call site.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// Every job of the shard lands back-to-back on one pipeline, so the
+    /// whole shard is one [`PipelineAgenda::admit_run`]: the same
+    /// sequential addition chain job-by-job admission performs, without a
+    /// placement per job.
     pub(crate) fn admit_jobs(
         &mut self,
         request: &Request,
@@ -498,8 +491,6 @@ impl Card {
         count: usize,
         planned_streams: usize,
         now: f64,
-        trace: bool,
-        placements: &mut Vec<Placement>,
     ) -> Admission {
         let shape = &request.shape;
         assert!(count > 0, "a shard must carry at least one job");
@@ -535,54 +526,9 @@ impl Card {
         };
         let stall = swap + restart;
 
-        // The untraced path collapses the per-job grid walk into one
-        // run admission: every job of the shard lands back-to-back on
-        // the same pipeline, so the finish time is the identical
-        // sequential addition chain ([`PipelineAgenda::admit_run`])
-        // without constructing a placement per job. The traced walk
-        // below performs the same additions job by job, so both modes
-        // produce bit-identical timing; tracing only controls whether
-        // the placements are kept.
-        let finish = if !trace {
-            self.agenda
-                .admit_run(pipeline, now, stall + per_job, per_job, count)
-        } else {
-            let mut finish = now;
-            let mut skip = skip;
-            let mut left = count;
-            let mut first = true;
-            'grid: for b in 0..shape.batch {
-                for l in 0..shape.layers {
-                    for h in 0..shape.heads {
-                        if skip > 0 {
-                            skip -= 1;
-                            continue;
-                        }
-                        if left == 0 {
-                            break 'grid;
-                        }
-                        left -= 1;
-                        let duration = if first { stall + per_job } else { per_job };
-                        first = false;
-                        let p = self.agenda.admit_on(
-                            pipeline,
-                            Job {
-                                batch: b,
-                                layer: l,
-                                head: h,
-                            },
-                            now,
-                            duration,
-                        );
-                        finish = p.end;
-                        if trace {
-                            placements.push(p);
-                        }
-                    }
-                }
-            }
-            finish
-        };
+        let finish = self
+            .agenda
+            .admit_run(pipeline, now, stall + per_job, per_job, count);
 
         let duration = finish - now;
         self.busy_seconds += duration;
@@ -843,11 +789,9 @@ mod tests {
     #[test]
     fn admit_advances_state() {
         let mut fleet = FleetConfig::standard(1).build().unwrap();
-        let mut placements = Vec::new();
-        let a0 = fleet
-            .card_mut(0)
-            .admit(&request(0, shape()), 0.0, true, &mut placements);
-        assert_eq!(placements.len(), 8);
+        let a0 = fleet.card_mut(0).admit(&request(0, shape()), 0.0);
+        // All 8 jobs run back to back behind the stall.
+        assert!((a0.finish - (a0.stall_seconds + 8.0 * a0.per_job_seconds)).abs() < 1e-12);
         assert!(a0.finish > 0.0);
         // The first admission pays the cold-weight swap; the second finds
         // the family resident, lands on the other pipeline, and finishes
@@ -855,9 +799,7 @@ mod tests {
         let swap = fleet.cards()[0].swap_seconds(&shape());
         assert!(swap > 0.0);
         assert!((a0.stall_seconds - swap).abs() < 1e-15);
-        let a1 = fleet
-            .card_mut(0)
-            .admit(&request(1, shape()), 0.0, true, &mut placements);
+        let a1 = fleet.card_mut(0).admit(&request(1, shape()), 0.0);
         assert_ne!(a0.pipeline, a1.pipeline);
         assert!((a0.finish - a1.finish - swap).abs() < 1e-12);
         assert_eq!(a1.stall_seconds, 0.0);
@@ -872,32 +814,17 @@ mod tests {
     #[test]
     fn sharded_admission_splits_the_job_grid() {
         // 8 jobs split 5 + 3 across the card's two pipelines: each shard
-        // lands on its own pipeline, together they place the whole grid
-        // exactly once, and each shard beats the whole-request twin.
+        // lands on its own pipeline and is charged exactly its own jobs,
+        // and each shard beats the whole-request twin.
         let mut fleet = FleetConfig::standard(1).build().unwrap();
         let mut whole_fleet = FleetConfig::standard(1).build().unwrap();
-        let mut placements = Vec::new();
         let r = request(0, shape());
-        let whole = whole_fleet
-            .card_mut(0)
-            .admit(&r, 0.0, false, &mut placements);
-        placements.clear();
-        let a = fleet
-            .card_mut(0)
-            .admit_jobs(&r, 0, 5, 2, 0.0, true, &mut placements);
-        let b = fleet
-            .card_mut(0)
-            .admit_jobs(&r, 5, 3, 2, 0.0, true, &mut placements);
-        assert_eq!(placements.len(), 8);
+        let whole = whole_fleet.card_mut(0).admit(&r, 0.0);
+        let a = fleet.card_mut(0).admit_jobs(&r, 0, 5, 2, 0.0);
+        let b = fleet.card_mut(0).admit_jobs(&r, 5, 3, 2, 0.0);
         assert_ne!(a.pipeline, b.pipeline);
-        // Every (batch, layer, head) job appears exactly once.
-        let mut jobs: Vec<(usize, usize, usize)> = placements
-            .iter()
-            .map(|p| (p.job.batch, p.job.layer, p.job.head))
-            .collect();
-        jobs.sort_unstable();
-        jobs.dedup();
-        assert_eq!(jobs.len(), 8);
+        assert!((a.finish - (a.stall_seconds + 5.0 * a.per_job_seconds)).abs() < 1e-12);
+        assert!((b.finish - 3.0 * b.per_job_seconds).abs() < 1e-12);
         // The first shard pays the swap; the co-resident second does not.
         assert!(a.stall_seconds > 0.0);
         assert_eq!(b.stall_seconds, 0.0);
@@ -910,11 +837,8 @@ mod tests {
     #[should_panic(expected = "outside the")]
     fn sharded_admission_rejects_ranges_past_the_grid() {
         let mut fleet = FleetConfig::standard(1).build().unwrap();
-        let mut placements = Vec::new();
         let r = request(0, shape()); // 8 jobs
-        let _ = fleet
-            .card_mut(0)
-            .admit_jobs(&r, 6, 3, 1, 0.0, false, &mut placements);
+        let _ = fleet.card_mut(0).admit_jobs(&r, 6, 3, 1, 0.0);
     }
 
     #[test]
@@ -942,13 +866,8 @@ mod tests {
             "the starved interface must stretch 2-stream service"
         );
         let r = request(0, s);
-        let mut placements = Vec::new();
-        let a = fleet
-            .card_mut(0)
-            .admit_jobs(&r, 0, 4, 2, 0.0, false, &mut placements);
-        let b = fleet
-            .card_mut(0)
-            .admit_jobs(&r, 4, 4, 2, 0.0, false, &mut placements);
+        let a = fleet.card_mut(0).admit_jobs(&r, 0, 4, 2, 0.0);
+        let b = fleet.card_mut(0).admit_jobs(&r, 4, 4, 2, 0.0);
         assert_eq!(
             a.per_job_seconds, contended,
             "the first sibling must see the plan's 2-stream rate"
@@ -962,41 +881,18 @@ mod tests {
     #[should_panic(expected = "busy-pipeline floor")]
     fn understated_planned_streams_are_rejected() {
         let mut fleet = FleetConfig::standard(1).build().unwrap();
-        let mut placements = Vec::new();
         let r = request(0, shape());
-        let _ = fleet
-            .card_mut(0)
-            .admit_jobs(&r, 0, 4, 1, 0.0, false, &mut placements);
+        let _ = fleet.card_mut(0).admit_jobs(&r, 0, 4, 1, 0.0);
         // One pipeline is now busy: a plan claiming a single stream
         // cannot cover it plus the new shard.
-        let _ = fleet
-            .card_mut(0)
-            .admit_jobs(&r, 4, 4, 1, 0.0, false, &mut placements);
-    }
-
-    #[test]
-    fn traced_and_untraced_admissions_agree() {
-        let mut traced = FleetConfig::standard(1).build().unwrap();
-        let mut untraced = FleetConfig::standard(1).build().unwrap();
-        let mut placements = Vec::new();
-        let t = traced
-            .card_mut(0)
-            .admit(&request(0, shape()), 0.125, true, &mut placements);
-        let u = untraced
-            .card_mut(0)
-            .admit(&request(0, shape()), 0.125, false, &mut placements);
-        assert!(
-            (t.finish - u.finish).abs() < 1e-12,
-            "trace mode must not change timing"
-        );
+        let _ = fleet.card_mut(0).admit_jobs(&r, 4, 4, 1, 0.0);
     }
 
     #[test]
     fn preempt_checkpoints_whole_jobs_and_rolls_back_accounting() {
         let mut fleet = FleetConfig::standard(1).build().unwrap();
-        let mut placements = Vec::new();
         let r = request(0, shape()); // 8 jobs
-        let a = fleet.card_mut(0).admit(&r, 0.0, true, &mut placements);
+        let a = fleet.card_mut(0).admit(&r, 0.0);
         let busy_before = fleet.cards()[0].busy_seconds();
         let energy_before = fleet.cards()[0].energy_joules();
         // Preempt mid-service: 3.5 jobs past the stall → 3 checkpointed.
@@ -1013,7 +909,7 @@ mod tests {
         // half-streamed weights are not left marked resident: the
         // aborted swap is un-counted and the next admission re-swaps.
         let mut fleet2 = FleetConfig::standard(1).build().unwrap();
-        let a2 = fleet2.card_mut(0).admit(&r, 0.0, false, &mut placements);
+        let a2 = fleet2.card_mut(0).admit(&r, 0.0);
         assert!(a2.swap_seconds > 0.0);
         assert_eq!(fleet2.cards()[0].weight_swaps(), 1);
         assert_eq!(
@@ -1022,11 +918,11 @@ mod tests {
         );
         assert_eq!(fleet2.cards()[0].resident_family(), None);
         assert_eq!(fleet2.cards()[0].weight_swaps(), 0);
-        let a3 = fleet2.card_mut(0).admit(&r, 1.0, false, &mut placements);
+        let a3 = fleet2.card_mut(0).admit(&r, 1.0);
         assert!(a3.swap_seconds > 0.0, "the torn family must re-stream");
         // Preemption *after* the swap completed keeps the residency.
         let mut fleet3 = FleetConfig::standard(1).build().unwrap();
-        let a4 = fleet3.card_mut(0).admit(&r, 0.0, false, &mut placements);
+        let a4 = fleet3.card_mut(0).admit(&r, 0.0);
         fleet3
             .card_mut(0)
             .preempt(&a4, 0.0, a4.swap_seconds + 1.5 * a4.per_job_seconds);
@@ -1037,11 +933,11 @@ mod tests {
     #[test]
     fn resumed_requests_skip_the_checkpoint_and_pay_restart() {
         let mut fleet = FleetConfig::standard(1).build().unwrap();
-        let mut placements = Vec::new();
         let fresh = request(0, shape());
-        fleet.card_mut(0).admit(&fresh, 0.0, true, &mut placements);
+        let a = fleet.card_mut(0).admit(&fresh, 0.0);
         let jobs = shape().jobs();
-        assert_eq!(placements.len(), jobs);
+        let swap = fleet.cards()[0].swap_seconds(&shape());
+        assert!((a.finish - (swap + jobs as f64 * a.per_job_seconds)).abs() < 1e-12);
         // Resume with 3 of 8 jobs checkpointed, on a card with the family
         // already resident: 5 jobs plus the restart penalty.
         let resumed = Request {
@@ -1051,11 +947,7 @@ mod tests {
             id: 1,
             ..fresh
         };
-        placements.clear();
-        let b = fleet
-            .card_mut(0)
-            .admit(&resumed, 0.0, true, &mut placements);
-        assert_eq!(placements.len(), jobs - 3);
+        let b = fleet.card_mut(0).admit(&resumed, 0.0);
         let restart = fleet.cards()[0].restart_seconds(&shape());
         assert!(restart > 0.0);
         assert!((b.stall_seconds - restart).abs() < 1e-15);
@@ -1071,14 +963,10 @@ mod tests {
         // keyed on `pending_restart`, which the simulator sets per
         // preemption and clears after the remnant's first admission.
         let mut fleet = FleetConfig::standard(1).build().unwrap();
-        let mut placements = Vec::new();
         let fresh = request(0, shape());
         // Make the family resident, then wait for the card to drain so
         // the stalls below are pure restart penalties.
-        let drained = fleet
-            .card_mut(0)
-            .admit(&fresh, 0.0, false, &mut placements)
-            .finish;
+        let drained = fleet.card_mut(0).admit(&fresh, 0.0).finish;
         let restart = fleet.cards()[0].restart_seconds(&shape());
 
         // The remnant's first shard carries the pending flag and pays.
@@ -1089,9 +977,7 @@ mod tests {
             id: 1,
             ..fresh
         };
-        let a = fleet
-            .card_mut(0)
-            .admit_jobs(&first, 2, 3, 2, drained, false, &mut placements);
+        let a = fleet.card_mut(0).admit_jobs(&first, 2, 3, 2, drained);
         assert!((a.stall_seconds - restart).abs() < 1e-15);
 
         // Its sibling shard in the same plan — and any later admission
@@ -1101,9 +987,7 @@ mod tests {
             pending_restart: false,
             ..first
         };
-        let b = fleet
-            .card_mut(0)
-            .admit_jobs(&second, 5, 3, 2, drained, false, &mut placements);
+        let b = fleet.card_mut(0).admit_jobs(&second, 5, 3, 2, drained);
         assert_eq!(b.stall_seconds, 0.0, "preemptions > 0 alone must not bill");
         assert!((a.finish - b.finish - restart).abs() < 1e-12);
     }
@@ -1111,9 +995,8 @@ mod tests {
     #[test]
     fn death_and_revival_cycle_accounts_like_preemption() {
         let mut fleet = FleetConfig::standard(1).build().unwrap();
-        let mut placements = Vec::new();
         let r = request(0, shape());
-        let a = fleet.card_mut(0).admit(&r, 0.0, true, &mut placements);
+        let a = fleet.card_mut(0).admit(&r, 0.0);
         // The card dies 2.5 jobs past the stall: 2 whole jobs checkpoint,
         // the eviction refunds the tail like a preemption would, but the
         // preemption counter stays untouched — a death is not a
@@ -1144,10 +1027,7 @@ mod tests {
     #[should_panic(expected = "before evicting")]
     fn killing_a_busy_card_without_eviction_is_rejected() {
         let mut fleet = FleetConfig::standard(1).build().unwrap();
-        let mut placements = Vec::new();
-        let a = fleet
-            .card_mut(0)
-            .admit(&request(0, shape()), 0.0, false, &mut placements);
+        let a = fleet.card_mut(0).admit(&request(0, shape()), 0.0);
         fleet.card_mut(0).fail(a.finish * 0.5);
     }
 
@@ -1188,9 +1068,8 @@ mod tests {
     #[test]
     fn parked_cards_pay_a_weight_swap_on_resume() {
         let mut fleet = FleetConfig::standard(1).build().unwrap();
-        let mut placements = Vec::new();
         let r = request(0, shape());
-        fleet.card_mut(0).admit(&r, 0.0, false, &mut placements);
+        fleet.card_mut(0).admit(&r, 0.0);
         assert_eq!(fleet.cards()[0].resident_family(), Some((4, 2)));
         let card = fleet.card_mut(0);
         card.power_off(100.0);
@@ -1200,7 +1079,7 @@ mod tests {
             None,
             "parking drops resident weights"
         );
-        let a = card.admit(&request(1, shape()), 201.0, false, &mut placements);
+        let a = card.admit(&request(1, shape()), 201.0);
         assert!(a.stall_seconds > 0.0, "resume swaps the family back in");
     }
 
@@ -1208,10 +1087,7 @@ mod tests {
     #[should_panic(expected = "in-flight work")]
     fn parking_a_busy_card_is_rejected() {
         let mut fleet = FleetConfig::standard(1).build().unwrap();
-        let mut placements = Vec::new();
-        let a = fleet
-            .card_mut(0)
-            .admit(&request(0, shape()), 0.0, false, &mut placements);
+        let a = fleet.card_mut(0).admit(&request(0, shape()), 0.0);
         fleet.card_mut(0).power_off(a.finish * 0.5);
     }
 }

@@ -10,11 +10,11 @@
 //! - service times come from [`swat::SwatAccelerator`]'s calibrated timing
 //!   model (Table 1 initiation intervals composed over a request's
 //!   `batch × layers × heads` jobs);
-//! - job placement reuses [`swat::schedule`]'s [`Job`](swat::schedule::Job)
-//!   / [`Placement`](swat::schedule::Placement) vocabulary through the
-//!   incremental [`PipelineAgenda`](swat::schedule::PipelineAgenda), so
-//!   fleet schedules obey the same conflict-freedom invariants as one-shot
-//!   workload schedules;
+//! - job placement reuses [`swat::schedule`]'s incremental
+//!   [`PipelineAgenda`](swat::schedule::PipelineAgenda) (one
+//!   [`admit_run`](swat::schedule::PipelineAgenda::admit_run) per shard),
+//!   so fleet schedules obey the same conflict-freedom invariants as
+//!   one-shot workload schedules;
 //! - memory backpressure uses [`swat_hw::MemoryInterface`]: concurrent
 //!   pipelines on one card share its off-chip interface, and service
 //!   stretches by the fair-share contention factor once aggregate demand
@@ -31,11 +31,11 @@
 //! [`sim::AdmissionControl`]'s per-class admission budgets under
 //! overload — and are dispatched to cards by a pluggable
 //! [`policy::DispatchPolicy`]. Because a request's `batch × layers ×
-//! heads` attention jobs are independent, a split-aware policy
-//! ([`policy::ShardedLeastLoaded`], [`policy::ShardedShortestJobFirst`])
-//! can **shard** one request across several idle pipelines — on one card
-//! or spanning cards within a group — and the request completes when its
-//! last shard drains. How wide to fan is planned against the shared
+//! heads` attention jobs are independent, a policy with a fan-out cap
+//! ([`policy::LeastLoaded`], [`policy::ShortestJobFirst`]) can **shard**
+//! one request across several idle pipelines — on one card or spanning
+//! cards within a group — and the request completes when its last shard
+//! drains. How wide to fan is planned against the shared
 //! predictive [`cost::CostModel`] — the same per-card timing terms
 //! admission charges, so plans are priced with the contention they
 //! themselves induce and fan-out backs off when the queue is deep or
@@ -89,7 +89,7 @@
 //! use swat_serve::arrival::ArrivalProcess;
 //! use swat_serve::fleet::FleetConfig;
 //! use swat_serve::policy::LeastLoaded;
-//! use swat_serve::sim::{simulate, TrafficSpec};
+//! use swat_serve::sim::{Simulation, TrafficSpec};
 //! use swat_workloads::RequestMix;
 //!
 //! let traffic = TrafficSpec {
@@ -99,7 +99,7 @@
 //! };
 //! // Four dual-pipeline FP16 cards next to two single-pipeline FP32 cards.
 //! let fleet = FleetConfig::mixed_precision(4, 2);
-//! let report = simulate(&fleet, &mut LeastLoaded, &traffic.requests(500), false);
+//! let report = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &traffic.requests(500));
 //! assert_eq!(report.completed, 500);
 //! let latency = report.latency.expect("every request completed");
 //! assert!(latency.p99 >= latency.p50);
@@ -126,7 +126,7 @@ pub use cost::{CardCostModel, CostModel, PlanCost};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fleet::{CardGroup, FleetConfig};
 pub use metrics::{DecodeSummary, FaultSummary, ServeReport, SessionSummary};
-pub use policy::{DispatchPolicy, SessionAffinity, ShardedLeastLoaded, ShardedShortestJobFirst};
+pub use policy::{DispatchPolicy, LeastLoaded, SessionAffinity, ShortestJobFirst};
 pub use request::Request;
 pub use scale::{Autoscaler, AutoscalerConfig, ScaleEvent};
 pub use scenario::{
@@ -135,7 +135,7 @@ pub use scenario::{
 };
 pub use session::{SessionProfile, SessionTraffic};
 pub use sim::{
-    serve, simulate, AdmissionControl, DecodeBatching, PreemptionControl, Simulation, TrafficSpec,
+    serve, AdmissionControl, DecodeBatching, PreemptionControl, Simulation, TrafficSpec,
 };
 pub use swat_workloads::RequestClass;
 pub use trace::{

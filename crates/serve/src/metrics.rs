@@ -5,7 +5,6 @@
 use crate::json::Json;
 use crate::request::{CompletedRequest, Request};
 use crate::scale::ScaleEvent;
-use swat::schedule::Placement;
 use swat_workloads::RequestClass;
 
 /// Preemption-log entries serialized to JSON; the in-memory report keeps
@@ -658,7 +657,7 @@ pub struct ServeReport {
     /// Arrival process name (set by the caller; see
     /// [`Simulation::arrivals_label`](crate::sim::Simulation::arrivals_label)).
     pub arrivals: String,
-    /// Requests offered to the fleet (completed + rejected).
+    /// Requests offered to the fleet (completed + rejected + failed).
     pub offered: usize,
     /// Requests completed (the simulator drains everything it admits).
     pub completed: usize,
@@ -711,8 +710,6 @@ pub struct ServeReport {
     /// (`None` when no plan fanned out — whole-request policies and
     /// `max_shards = 1` runs).
     pub cost_prediction: Option<CostPrediction>,
-    /// Per-job placements, when tracing was requested: `(card, placement)`.
-    pub placements: Vec<(usize, Placement)>,
     /// Streaming telemetry histogram, present only on
     /// [`TelemetryMode::Streaming`](crate::trace::TelemetryMode) runs
     /// (`None` under Exact, whose JSON must stay byte-identical).
@@ -760,7 +757,6 @@ impl ServeReport {
         scaling: Vec<ScaleEvent>,
         cost_prediction: Option<CostPrediction>,
         faults: Option<FaultSummary>,
-        placements: Vec<(usize, Placement)>,
     ) -> ServeReport {
         let latencies: Vec<f64> = completed.iter().map(CompletedRequest::latency).collect();
         let first_arrival = completed
@@ -841,7 +837,6 @@ impl ServeReport {
             preemptions,
             scaling,
             cost_prediction,
-            placements,
             telemetry: None,
             failed: failed.len(),
             faults,
@@ -1092,7 +1087,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(report.completed, 3);
         assert_eq!(report.offered, 3);
@@ -1153,7 +1147,6 @@ mod tests {
             }],
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(report.preemption_count(), 1);
         let json = report.to_json().pretty();
@@ -1184,7 +1177,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(report.offered, 2);
         assert_eq!(report.completed, 1);
@@ -1222,7 +1214,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(
             (report.offered, report.completed, report.rejected),
@@ -1255,7 +1246,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(vacuous.slo_attainment(), 1.0);
     }
@@ -1285,7 +1275,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(report.slo_violations, 0, "the one completion was on time");
         assert!((report.slo_attainment() - 0.1).abs() < 1e-12);
@@ -1313,7 +1302,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(report.sharded_requests, 1);
         assert_eq!(report.max_shards, 3);
@@ -1343,7 +1331,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(narrow.shard_widths, [1]);
         let json = narrow.to_json().pretty();
@@ -1374,7 +1361,6 @@ mod tests {
                 max_error_s: 0.0,
             }),
             None,
-            Vec::new(),
         );
         assert_eq!(fanned.shard_widths, [1, 0, 1]);
         let json = fanned.to_json().pretty();
@@ -1413,7 +1399,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         let json = report.to_json().pretty();
         // The full count stays exact, the log caps, and the cap declares
@@ -1454,7 +1439,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         let json = report.to_json().pretty();
         assert!(!json.contains("_meta"), "uncapped logs stay byte-identical");
@@ -1502,7 +1486,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(report.telemetry, None, "assemble is the Exact path");
         let json = report.to_json().pretty();
@@ -1549,7 +1532,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         let json = report.to_json().pretty();
         assert!(!json.contains("\"faults\""), "fault-free JSON is untouched");
@@ -1597,7 +1579,6 @@ mod tests {
                 shards_lost: 0,
                 failed: 1,
             }),
-            Vec::new(),
         );
         assert_eq!((report.offered, report.completed, report.failed), (2, 1, 1));
         assert!((report.slo_attainment() - 0.5).abs() < 1e-12);
@@ -1686,7 +1667,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         let json = report.to_json().pretty();
         assert!(json.contains("\"sessions\""));

@@ -2,11 +2,12 @@
 //!
 //! The simulator calls [`DispatchPolicy::choose`] whenever queue or fleet
 //! state changes; the policy picks which waiting request goes to which
-//! card next, or returns `None` to wait (it **must** return `None` when no
-//! card has an idle pipeline — the simulator never preempts). Policies see
-//! only [`CardView`] snapshots, so they cannot depend on simulator
-//! internals, and anything implementing the trait plugs into
-//! [`crate::sim::simulate`] unchanged.
+//! pipelines next, or returns `None` to wait (it **must** return `None`
+//! when no card has an idle pipeline — a policy never displaces running
+//! work; only the simulator's [`PreemptionControl`](crate::sim::PreemptionControl)
+//! does). Policies see only [`CardView`] snapshots, so they cannot depend
+//! on simulator internals, and anything implementing the trait plugs into
+//! [`Simulation::run`](crate::sim::Simulation::run) unchanged.
 //!
 //! The queue handed to a policy is **priority-ordered**: higher classes
 //! first, arrival order within a class (see
@@ -21,18 +22,18 @@
 //! homogeneous fleet the estimates tie on every card and each policy
 //! reduces exactly to its classic symmetric form.
 //!
-//! Policies may also be **split-aware**: because a request's
+//! Every decision is a **plan**: because a request's
 //! `batch × layers × heads` attention jobs are independent, a policy can
 //! fan one request out across several idle pipelines — on one card or
-//! spanning cards within one group — via
-//! [`DispatchPolicy::choose_sharded`], and the request completes when its
-//! last shard drains. [`ShardedLeastLoaded`] and
-//! [`ShardedShortestJobFirst`] add a `max_shards` knob to the classic
-//! forms; `fifo` and `head-affinity` stay whole-request (head-affinity's
-//! whole point is keeping a family on one home card).
+//! spanning cards within one group — and the request completes when its
+//! last shard drains. A one-entry plan is whole-request dispatch.
+//! [`LeastLoaded`] and [`ShortestJobFirst`] carry a `max_shards` cap
+//! (default 1, the whole-request form); `fifo` and `head-affinity` always
+//! return one-entry plans (head-affinity's whole point is keeping a
+//! family on one home card).
 //!
-//! Split-aware policies plan against the shared predictive
-//! [`CostModel`]: by default they pick the fan-out **width** that
+//! Above one shard, plans are priced against the shared predictive
+//! [`CostModel`]: by default the policy picks the fan-out **width** that
 //! minimizes the plan's predicted fan-in time plus a queue-pressure term
 //! ([`adaptive_shard_targets`]) instead of always fanning to
 //! `max_shards`, so fan-out backs off automatically when the queue is
@@ -79,51 +80,37 @@ impl CardView {
     }
 }
 
-/// A dispatch decision: which queued request runs on which card.
-pub type Dispatch = (usize, usize);
-
-/// A split-aware dispatch decision: the queued request at the first
-/// index fans out across the listed cards, one shard per entry (an entry
-/// may repeat a card — two pipelines of a dual card). All entries must
-/// share one card group, so within one dispatch every shard runs the
-/// same design and the fan-in is not dominated by a slower-precision
-/// straggler. The invariant is per *plan*, not per request lifetime: a
-/// preempted remnant may later resume on a different group than its
-/// still-running siblings — capacity now beats group affinity for work
-/// that already lost its slot once.
+/// A dispatch decision: the queued request at the first index fans out
+/// across the listed cards, one shard per entry (an entry may repeat a
+/// card — two pipelines of a dual card; a one-entry plan is whole-request
+/// dispatch). All entries must share one card group, so within one
+/// dispatch every shard runs the same design and the fan-in is not
+/// dominated by a slower-precision straggler. The invariant is per
+/// *plan*, not per request lifetime: a preempted remnant may later resume
+/// on a different group than its still-running siblings — capacity now
+/// beats group affinity for work that already lost its slot once.
 pub type ShardedDispatch = (usize, Vec<usize>);
 
-/// Chooses the next (queue index, card index) dispatch.
+/// Chooses the next dispatch plan.
 pub trait DispatchPolicy {
     /// Policy name for reports.
     fn name(&self) -> &'static str;
 
-    /// Picks the next dispatch, or `None` to wait for state to change.
-    /// `queue` is priority-ordered (class rank, then arrival); `cards` is
-    /// indexed by card id.
-    fn choose(&mut self, now: f64, queue: QueueView<'_>, cards: &[CardView]) -> Option<Dispatch>;
-
-    /// Picks the next dispatch with optional fan-out: the queued request
-    /// splits its independent attention jobs across one shard per listed
-    /// card. The default wraps [`DispatchPolicy::choose`] as a single
-    /// whole-request shard, so existing policies stay whole-request
-    /// without opting in. `cost` is the fleet's shared predictive
-    /// [`CostModel`], which split-aware policies use to price candidate
+    /// Picks the next dispatch plan, or `None` to wait for state to
+    /// change. `queue` is priority-ordered (class rank, then arrival);
+    /// `cards` is indexed by card id; `cost` is the fleet's shared
+    /// predictive [`CostModel`], which policies use to price candidate
     /// plans. The simulator enforces the [`ShardedDispatch`] contract:
     /// non-empty plan, one idle pipeline per entry, all entries in one
     /// card group. Plans longer than the request's remaining jobs are
     /// truncated (a shard carries at least one job).
-    fn choose_sharded(
+    fn choose(
         &mut self,
         now: f64,
         queue: QueueView<'_>,
         cards: &[CardView],
         cost: &CostModel,
-    ) -> Option<ShardedDispatch> {
-        let _ = cost;
-        self.choose(now, queue, cards)
-            .map(|(qi, card)| (qi, vec![card]))
-    }
+    ) -> Option<ShardedDispatch>;
 
     /// Whether the policy picks through
     /// [`QueueView::shortest_in_head_class`]. The simulator reads this
@@ -133,13 +120,6 @@ pub trait DispatchPolicy {
     fn ranks_by_remaining_work(&self) -> bool {
         false
     }
-}
-
-/// Whether any card has an idle pipeline — the check both SJF policies
-/// make before paying for a pick, so a dispatch round's closing, failing
-/// call costs one pass over the cards.
-fn any_idle(cards: &[CardView]) -> bool {
-    cards.iter().any(|c| c.idle_pipelines > 0)
 }
 
 /// The total order "which idle card finishes `shape` soonest": smallest
@@ -167,12 +147,11 @@ fn soonest_idle(cards: &[CardView], shape: &RequestShape) -> Option<usize> {
 
 /// Up to `max_shards` idle pipelines for `shape`, soonest-finishing
 /// first by the same backlog-plus-estimate rank whole-request dispatch
-/// uses — the shard plan the split-aware policies
-/// share. All entries stay within one card group: the group of the
-/// soonest-finishing idle card, which is also always the plan's first
-/// entry (the card whole-request dispatch would have picked), so
-/// `max_shards == 1` reduces exactly to the unsharded policy. Returns
-/// `None` when every pipeline is busy.
+/// uses — the fixed-width shard plan. All entries stay within one card
+/// group: the group of the soonest-finishing idle card, which is also
+/// always the plan's first entry (the card whole-request dispatch would
+/// have picked), so `max_shards == 1` is exactly that pick.
+/// Returns `None` when every pipeline is busy.
 pub fn shard_targets(
     cards: &[CardView],
     shape: &RequestShape,
@@ -215,9 +194,8 @@ pub fn shard_targets(
 /// break to the narrowest width (frees pipelines at no predicted cost).
 ///
 /// The candidate widths are prefixes of the [`shard_targets`] fill
-/// order, so the width-1 plan is exactly the whole-request pick and
-/// `max_shards == 1` reduces bitwise to the unsharded policy. Returns
-/// `None` when every pipeline is busy.
+/// order, so the width-1 plan is exactly the whole-request pick.
+/// Returns `None` when every pipeline is busy.
 ///
 /// Because each decode step dispatches separately (a step boundary
 /// requeues the remnant under continuous batching), the width is
@@ -251,11 +229,36 @@ pub fn adaptive_shard_targets(
     Some(plan)
 }
 
+/// The plan for `request` under a `max_shards` cap, with `waiting`
+/// requests queued behind it. A cap of 1 returns [`soonest_idle`] as a
+/// one-entry plan without pricing any width — bitwise what
+/// `shard_targets(.., 1)` and every adaptive search over it return, at a
+/// fraction of the work on the common whole-request path. Wider caps
+/// take [`adaptive_shard_targets`], or [`shard_targets`] when `adaptive`
+/// is off.
+fn capped_plan(
+    cards: &[CardView],
+    request: &Request,
+    waiting: usize,
+    max_shards: usize,
+    adaptive: bool,
+    cost: &CostModel,
+    now: f64,
+) -> Option<Vec<usize>> {
+    if max_shards == 1 {
+        Some(vec![soonest_idle(cards, &request.shape)?])
+    } else if adaptive {
+        adaptive_shard_targets(cards, request, waiting, max_shards, cost, now)
+    } else {
+        shard_targets(cards, &request.shape, max_shards)
+    }
+}
+
 /// First come, first served, onto the fastest idle card (ties to the
 /// lowest index — on a homogeneous fleet this is exactly "the first card
 /// with a free pipeline"). The baseline every queueing intuition starts
 /// from; head-of-line blocking under heavy-tailed request mixes is its
-/// known failure mode.
+/// known failure mode. Always a one-entry plan.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fifo;
 
@@ -264,7 +267,13 @@ impl DispatchPolicy for Fifo {
         "fifo"
     }
 
-    fn choose(&mut self, _now: f64, queue: QueueView<'_>, cards: &[CardView]) -> Option<Dispatch> {
+    fn choose(
+        &mut self,
+        _now: f64,
+        queue: QueueView<'_>,
+        cards: &[CardView],
+        _cost: &CostModel,
+    ) -> Option<ShardedDispatch> {
         if queue.is_empty() {
             return None;
         }
@@ -277,24 +286,98 @@ impl DispatchPolicy for Fifo {
                     .then(a.card.cmp(&b.card))
             })?
             .card;
-        Some((0, card))
+        Some((0, vec![card]))
     }
 }
 
 /// First come, first served, onto the idle card with the smallest
 /// backlog-plus-service estimate — classic join-the-least-loaded-queue,
 /// generalized to fleets where cards differ in speed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeastLoaded;
+///
+/// With `max_shards` above 1 the head request's independent attention
+/// jobs split across up to that many idle pipelines of one card group
+/// (soonest-finishing pipelines first), completing at its last shard.
+/// The width is **adaptive** by default — [`adaptive_shard_targets`]
+/// fans only as wide as the predicted price justifies;
+/// [`LeastLoaded::fixed`] keeps the contention-blind
+/// always-fan-to-`max_shards` baseline. The default cap of 1 is
+/// whole-request dispatch and reports as `least-loaded`; wider caps
+/// report as `least-loaded-sharded` (adaptive) or
+/// `least-loaded-sharded-fixed`.
+#[derive(Debug, Clone, Copy)]
+pub struct LeastLoaded {
+    /// Most pipelines one request may fan out across (at least 1).
+    pub max_shards: usize,
+    /// Whether a width above 1 is chosen by predicted cost (the default)
+    /// or always fanned to `max_shards`.
+    pub adaptive: bool,
+}
+
+impl Default for LeastLoaded {
+    /// Whole-request dispatch: `max_shards = 1`.
+    fn default() -> LeastLoaded {
+        LeastLoaded::new(1)
+    }
+}
+
+impl LeastLoaded {
+    /// Least-loaded dispatch fanning out up to `max_shards`, choosing
+    /// each dispatch's width by predicted cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_shards` is zero.
+    pub fn new(max_shards: usize) -> LeastLoaded {
+        assert!(max_shards > 0, "a dispatch needs at least one shard");
+        LeastLoaded {
+            max_shards,
+            adaptive: true,
+        }
+    }
+
+    /// The fixed-width baseline: always fan to `max_shards` (or as many
+    /// idle pipelines as the group has), however deep the queue or
+    /// saturated the memory interface.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_shards` is zero.
+    pub fn fixed(max_shards: usize) -> LeastLoaded {
+        LeastLoaded {
+            adaptive: false,
+            ..LeastLoaded::new(max_shards)
+        }
+    }
+}
 
 impl DispatchPolicy for LeastLoaded {
     fn name(&self) -> &'static str {
-        "least-loaded"
+        match (self.max_shards, self.adaptive) {
+            (1, _) => "least-loaded",
+            (_, true) => "least-loaded-sharded",
+            (_, false) => "least-loaded-sharded-fixed",
+        }
     }
 
-    fn choose(&mut self, _now: f64, queue: QueueView<'_>, cards: &[CardView]) -> Option<Dispatch> {
+    fn choose(
+        &mut self,
+        now: f64,
+        queue: QueueView<'_>,
+        cards: &[CardView],
+        cost: &CostModel,
+    ) -> Option<ShardedDispatch> {
         let request = queue.first()?;
-        Some((0, soonest_idle(cards, &request.shape)?))
+        let waiting = queue.len() - 1;
+        let plan = capped_plan(
+            cards,
+            request,
+            waiting,
+            self.max_shards,
+            self.adaptive,
+            cost,
+            now,
+        )?;
+        Some((0, plan))
     }
 }
 
@@ -321,131 +404,37 @@ impl DispatchPolicy for LeastLoaded {
 /// ([`DispatchPolicy::ranks_by_remaining_work`]), and a scan of the head
 /// class over a [`QueueView::flat`] slice. With no idle pipeline the
 /// policy returns `None` before picking.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShortestJobFirst;
-
-impl DispatchPolicy for ShortestJobFirst {
-    fn name(&self) -> &'static str {
-        "shortest-job-first"
-    }
-
-    fn choose(&mut self, _now: f64, queue: QueueView<'_>, cards: &[CardView]) -> Option<Dispatch> {
-        if !any_idle(cards) {
-            return None;
-        }
-        let (qi, request) = queue.shortest_in_head_class()?;
-        let card = soonest_idle(cards, &request.shape)?;
-        Some((qi, card))
-    }
-
-    fn ranks_by_remaining_work(&self) -> bool {
-        true
-    }
-}
-
-/// [`LeastLoaded`] with fan-out: the head request's independent attention
-/// jobs split across up to `max_shards` idle pipelines of one card group
-/// (soonest-finishing pipelines first), completing at its last shard.
-/// By default the width is **adaptive** — [`adaptive_shard_targets`]
-/// fans only as wide as the predicted price justifies;
-/// [`ShardedLeastLoaded::fixed`] keeps the contention-blind
-/// always-fan-to-`max_shards` baseline. `max_shards == 1` is exactly
-/// `least-loaded` either way.
+///
+/// `max_shards` and `adaptive` fan the pick out exactly as they do for
+/// [`LeastLoaded`]; the default cap of 1 reports as
+/// `shortest-job-first`, wider caps as `shortest-job-first-sharded` or
+/// `shortest-job-first-sharded-fixed`.
 #[derive(Debug, Clone, Copy)]
-pub struct ShardedLeastLoaded {
+pub struct ShortestJobFirst {
     /// Most pipelines one request may fan out across (at least 1).
     pub max_shards: usize,
-    /// Whether the width is chosen by predicted cost (the default) or
-    /// always fanned to `max_shards`.
+    /// Whether a width above 1 is chosen by predicted cost (the default)
+    /// or always fanned to `max_shards`.
     pub adaptive: bool,
 }
 
-impl ShardedLeastLoaded {
-    /// A split-aware least-loaded policy fanning out up to `max_shards`,
-    /// choosing each dispatch's width by predicted cost.
+impl Default for ShortestJobFirst {
+    /// Whole-request dispatch: `max_shards = 1`.
+    fn default() -> ShortestJobFirst {
+        ShortestJobFirst::new(1)
+    }
+}
+
+impl ShortestJobFirst {
+    /// SJF dispatch fanning out up to `max_shards`, choosing each
+    /// dispatch's width by predicted cost.
     ///
     /// # Panics
     ///
     /// Panics if `max_shards` is zero.
-    pub fn new(max_shards: usize) -> ShardedLeastLoaded {
+    pub fn new(max_shards: usize) -> ShortestJobFirst {
         assert!(max_shards > 0, "a dispatch needs at least one shard");
-        ShardedLeastLoaded {
-            max_shards,
-            adaptive: true,
-        }
-    }
-
-    /// The fixed-width baseline: always fan to `max_shards` (or as many
-    /// idle pipelines as the group has), however deep the queue or
-    /// saturated the memory interface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_shards` is zero.
-    pub fn fixed(max_shards: usize) -> ShardedLeastLoaded {
-        ShardedLeastLoaded {
-            adaptive: false,
-            ..ShardedLeastLoaded::new(max_shards)
-        }
-    }
-}
-
-impl DispatchPolicy for ShardedLeastLoaded {
-    fn name(&self) -> &'static str {
-        if self.adaptive {
-            "least-loaded-sharded"
-        } else {
-            "least-loaded-sharded-fixed"
-        }
-    }
-
-    fn choose(&mut self, now: f64, queue: QueueView<'_>, cards: &[CardView]) -> Option<Dispatch> {
-        LeastLoaded.choose(now, queue, cards)
-    }
-
-    fn choose_sharded(
-        &mut self,
-        now: f64,
-        queue: QueueView<'_>,
-        cards: &[CardView],
-        cost: &CostModel,
-    ) -> Option<ShardedDispatch> {
-        let request = queue.first()?;
-        let plan = if self.adaptive {
-            adaptive_shard_targets(cards, request, queue.len() - 1, self.max_shards, cost, now)?
-        } else {
-            shard_targets(cards, &request.shape, self.max_shards)?
-        };
-        Some((0, plan))
-    }
-}
-
-/// [`ShortestJobFirst`] with fan-out: the SJF pick splits across up to
-/// `max_shards` idle pipelines of one card group, with the same
-/// adaptive-width default (and [`ShardedShortestJobFirst::fixed`]
-/// baseline) as [`ShardedLeastLoaded`]. `max_shards == 1` is exactly
-/// `shortest-job-first`. The pick is the same O(log n) indexed
-/// [`QueueView::shortest_in_head_class`], made only once some pipeline
-/// is idle.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedShortestJobFirst {
-    /// Most pipelines one request may fan out across (at least 1).
-    pub max_shards: usize,
-    /// Whether the width is chosen by predicted cost (the default) or
-    /// always fanned to `max_shards`.
-    pub adaptive: bool,
-}
-
-impl ShardedShortestJobFirst {
-    /// A split-aware SJF policy fanning out up to `max_shards`, choosing
-    /// each dispatch's width by predicted cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_shards` is zero.
-    pub fn new(max_shards: usize) -> ShardedShortestJobFirst {
-        assert!(max_shards > 0, "a dispatch needs at least one shard");
-        ShardedShortestJobFirst {
+        ShortestJobFirst {
             max_shards,
             adaptive: true,
         }
@@ -456,43 +445,46 @@ impl ShardedShortestJobFirst {
     /// # Panics
     ///
     /// Panics if `max_shards` is zero.
-    pub fn fixed(max_shards: usize) -> ShardedShortestJobFirst {
-        ShardedShortestJobFirst {
+    pub fn fixed(max_shards: usize) -> ShortestJobFirst {
+        ShortestJobFirst {
             adaptive: false,
-            ..ShardedShortestJobFirst::new(max_shards)
+            ..ShortestJobFirst::new(max_shards)
         }
     }
 }
 
-impl DispatchPolicy for ShardedShortestJobFirst {
+impl DispatchPolicy for ShortestJobFirst {
     fn name(&self) -> &'static str {
-        if self.adaptive {
-            "shortest-job-first-sharded"
-        } else {
-            "shortest-job-first-sharded-fixed"
+        match (self.max_shards, self.adaptive) {
+            (1, _) => "shortest-job-first",
+            (_, true) => "shortest-job-first-sharded",
+            (_, false) => "shortest-job-first-sharded-fixed",
         }
     }
 
-    fn choose(&mut self, now: f64, queue: QueueView<'_>, cards: &[CardView]) -> Option<Dispatch> {
-        ShortestJobFirst.choose(now, queue, cards)
-    }
-
-    fn choose_sharded(
+    fn choose(
         &mut self,
         now: f64,
         queue: QueueView<'_>,
         cards: &[CardView],
         cost: &CostModel,
     ) -> Option<ShardedDispatch> {
-        if !any_idle(cards) {
+        // No idle pipeline: skip the pick, so a dispatch round's closing,
+        // failing call costs one pass over the cards.
+        if cards.iter().all(|c| c.idle_pipelines == 0) {
             return None;
         }
         let (qi, request) = queue.shortest_in_head_class()?;
-        let plan = if self.adaptive {
-            adaptive_shard_targets(cards, request, queue.len() - 1, self.max_shards, cost, now)?
-        } else {
-            shard_targets(cards, &request.shape, self.max_shards)?
-        };
+        let waiting = queue.len() - 1;
+        let plan = capped_plan(
+            cards,
+            request,
+            waiting,
+            self.max_shards,
+            self.adaptive,
+            cost,
+            now,
+        )?;
         Some((qi, plan))
     }
 
@@ -504,7 +496,8 @@ impl DispatchPolicy for ShardedShortestJobFirst {
 /// Routes each (heads, layers) model family to a preferred home card —
 /// standing in for weight/KV-cache residency, where scattering one model
 /// across all cards wastes on-card memory — and falls back to the card
-/// that would finish soonest when the home is busy.
+/// that would finish soonest when the home is busy. Always a one-entry
+/// plan.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HeadAffinity;
 
@@ -525,13 +518,19 @@ impl DispatchPolicy for HeadAffinity {
         "head-affinity"
     }
 
-    fn choose(&mut self, _now: f64, queue: QueueView<'_>, cards: &[CardView]) -> Option<Dispatch> {
+    fn choose(
+        &mut self,
+        _now: f64,
+        queue: QueueView<'_>,
+        cards: &[CardView],
+        _cost: &CostModel,
+    ) -> Option<ShardedDispatch> {
         let request = queue.first()?;
         let home = HeadAffinity::home_card(request.shape.heads, request.shape.layers, cards.len());
         if cards[home].idle_pipelines > 0 {
-            return Some((0, home));
+            return Some((0, vec![home]));
         }
-        Some((0, soonest_idle(cards, &request.shape)?))
+        Some((0, vec![soonest_idle(cards, &request.shape)?]))
     }
 }
 
@@ -552,21 +551,21 @@ const DEFECTION_MARGIN: f64 = 1.5;
 /// - **home busy** (no idle pipeline, which includes a dead card — the
 ///   simulator zeroes a dead card's idle pipelines): the turn falls back
 ///   to the soonest-finishing idle card and the binding migrates with it;
-/// - **priced defection** (split-aware path only): the shared
-///   [`CostModel`] prices the turn on the home card against the best
-///   idle card — swap stalls and degrade factors included — and the turn
-///   defects when home costs more than `DEFECTION_MARGIN` (1.5)× the
-///   alternative;
+/// - **priced defection**: the shared [`CostModel`] prices the turn on
+///   the home card against the best idle card — swap stalls and degrade
+///   factors included — and the turn defects when home costs more than
+///   `DEFECTION_MARGIN` (1.5)× the alternative;
 /// - **capacity pressure**: each card holds at most `capacity_per_card`
 ///   bindings; binding one more evicts the card's least-recently-used
 ///   session (its next turn re-binds wherever dispatch sends it).
 ///
-/// Sessionless requests (`session == 0`) take the [`LeastLoaded`] path
-/// bit-for-bit, so this policy over an untagged trace reproduces
-/// `least-loaded` exactly (modulo the report's policy name) — the
-/// reduction the chaos suite pins. Deliberately not in
-/// [`all_policies`]: it only differs from `least-loaded` on
-/// session-tagged traffic, which the standard sweeps do not carry.
+/// Sessionless requests (`session == 0`) take the whole-request
+/// [`LeastLoaded`] path bit-for-bit, so this policy over an untagged
+/// trace reproduces `least-loaded` exactly (modulo the report's policy
+/// name) — the reduction the chaos suite pins. Always a one-entry plan.
+/// Deliberately not in [`all_policies`]: it only differs from
+/// `least-loaded` on session-tagged traffic, which the standard sweeps do
+/// not carry.
 #[derive(Debug, Clone)]
 pub struct SessionAffinity {
     /// Most sessions one card keeps resident state for (≥ 1).
@@ -643,21 +642,7 @@ impl DispatchPolicy for SessionAffinity {
         "session-affinity"
     }
 
-    fn choose(&mut self, now: f64, queue: QueueView<'_>, cards: &[CardView]) -> Option<Dispatch> {
-        let request = *queue.first()?;
-        if request.session == 0 {
-            return LeastLoaded.choose(now, queue, cards);
-        }
-        let fallback = soonest_idle(cards, &request.shape)?;
-        let pick = match self.home(request.session) {
-            Some(home) if cards[home].idle_pipelines > 0 => home,
-            _ => fallback,
-        };
-        self.bind(request.session, pick);
-        Some((0, pick))
-    }
-
-    fn choose_sharded(
+    fn choose(
         &mut self,
         now: f64,
         queue: QueueView<'_>,
@@ -665,12 +650,10 @@ impl DispatchPolicy for SessionAffinity {
         cost: &CostModel,
     ) -> Option<ShardedDispatch> {
         let request = *queue.first()?;
-        if request.session == 0 {
-            return LeastLoaded
-                .choose(now, queue, cards)
-                .map(|(qi, card)| (qi, vec![card]));
-        }
         let fallback = soonest_idle(cards, &request.shape)?;
+        if request.session == 0 {
+            return Some((0, vec![fallback]));
+        }
         let pick = match self.home(request.session) {
             Some(home) if cards[home].idle_pipelines > 0 && home != fallback => {
                 let home_cost = cost.price_plan(&request, &[home], cards, now).fan_in - now;
@@ -689,12 +672,12 @@ impl DispatchPolicy for SessionAffinity {
     }
 }
 
-/// Every built-in policy, boxed, for sweeps.
+/// Every built-in policy in its whole-request form, boxed, for sweeps.
 pub fn all_policies() -> Vec<Box<dyn DispatchPolicy>> {
     vec![
         Box::new(Fifo),
-        Box::new(LeastLoaded),
-        Box::new(ShortestJobFirst),
+        Box::new(LeastLoaded::default()),
+        Box::new(ShortestJobFirst::default()),
         Box::new(HeadAffinity),
     ]
 }
@@ -755,9 +738,13 @@ mod tests {
     fn all_policies_wait_when_fleet_is_full() {
         let queue = [request(0, 1024)];
         let cards = [view(0, 0, 5.0), view(1, 0, 1.0)];
-        for mut p in all_policies() {
+        let cost = model(2);
+        let mut policies = all_policies();
+        policies.push(Box::new(LeastLoaded::new(3)));
+        policies.push(Box::new(ShortestJobFirst::fixed(3)));
+        for mut p in policies {
             assert_eq!(
-                p.choose(0.0, QueueView::flat(&queue), &cards),
+                p.choose(0.0, QueueView::flat(&queue), &cards, &cost),
                 None,
                 "{}",
                 p.name()
@@ -768,9 +755,13 @@ mod tests {
     #[test]
     fn all_policies_wait_on_empty_queue() {
         let cards = [view(0, 2, 0.0)];
-        for mut p in all_policies() {
+        let cost = model(1);
+        let mut policies = all_policies();
+        policies.push(Box::new(LeastLoaded::fixed(3)));
+        policies.push(Box::new(ShortestJobFirst::new(3)));
+        for mut p in policies {
             assert_eq!(
-                p.choose(0.0, QueueView::flat(&[]), &cards),
+                p.choose(0.0, QueueView::flat(&[]), &cards, &cost),
                 None,
                 "{}",
                 p.name()
@@ -783,8 +774,8 @@ mod tests {
         let queue = [request(0, 1024), request(1, 512)];
         let cards = [view(0, 0, 0.1), view(1, 1, 9.0), view(2, 2, 0.0)];
         assert_eq!(
-            Fifo.choose(0.0, QueueView::flat(&queue), &cards),
-            Some((0, 1))
+            Fifo.choose(0.0, QueueView::flat(&queue), &cards, &model(3)),
+            Some((0, vec![1]))
         );
     }
 
@@ -797,8 +788,8 @@ mod tests {
         slow.seconds_per_token = 2e-6;
         let cards = [view(0, 0, 0.0), slow, view(2, 1, 4.0)];
         assert_eq!(
-            Fifo.choose(0.0, QueueView::flat(&queue), &cards),
-            Some((0, 2))
+            Fifo.choose(0.0, QueueView::flat(&queue), &cards, &model(3)),
+            Some((0, vec![2]))
         );
     }
 
@@ -807,8 +798,8 @@ mod tests {
         let queue = [request(0, 1024)];
         let cards = [view(0, 1, 3.0), view(1, 1, 1.0), view(2, 1, 2.0)];
         assert_eq!(
-            LeastLoaded.choose(0.0, QueueView::flat(&queue), &cards),
-            Some((0, 1))
+            LeastLoaded::default().choose(0.0, QueueView::flat(&queue), &cards, &model(3)),
+            Some((0, vec![1]))
         );
     }
 
@@ -824,8 +815,8 @@ mod tests {
         fast.seconds_per_token = 1e-6;
         fast.backlog_seconds = 1e-6 * work; // backlog + estimate still smaller
         assert_eq!(
-            LeastLoaded.choose(0.0, QueueView::flat(&[r]), &[slow, fast]),
-            Some((0, 1))
+            LeastLoaded::default().choose(0.0, QueueView::flat(&[r]), &[slow, fast], &model(2)),
+            Some((0, vec![1]))
         );
     }
 
@@ -834,9 +825,24 @@ mod tests {
         let queue = [request(0, 8192), request(1, 512), request(2, 2048)];
         let cards = [view(0, 1, 0.0)];
         assert_eq!(
-            ShortestJobFirst.choose(0.0, QueueView::flat(&queue), &cards),
-            Some((1, 0))
+            ShortestJobFirst::default().choose(0.0, QueueView::flat(&queue), &cards, &model(1)),
+            Some((1, vec![0]))
         );
+        // Sharded SJF keeps the within-class reorder; the fixed baseline
+        // always fans to the cap, the adaptive one prices the widths but
+        // its plan is a prefix of the same fill order.
+        let queue = [request(0, 8192), request(1, 512)];
+        let cards = [view(0, 1, 3.0), view(1, 1, 1.0)];
+        let cost = model(2);
+        assert_eq!(
+            ShortestJobFirst::fixed(2).choose(0.0, QueueView::flat(&queue), &cards, &cost),
+            Some((1, vec![1, 0]))
+        );
+        let (qi, plan) = ShortestJobFirst::new(2)
+            .choose(0.0, QueueView::flat(&queue), &cards, &cost)
+            .unwrap();
+        assert_eq!(qi, 1);
+        assert!(plan == vec![1] || plan == vec![1, 0]);
     }
 
     #[test]
@@ -853,9 +859,11 @@ mod tests {
         });
         let one_shot = request(1, 2048);
         let cards = [view(0, 1, 0.0)];
+        let cost = model(1);
+        let mut sjf = ShortestJobFirst::default();
         assert_eq!(
-            ShortestJobFirst.choose(0.0, QueueView::flat(&[deep, one_shot]), &cards),
-            Some((1, 0)),
+            sjf.choose(0.0, QueueView::flat(&[deep, one_shot]), &cards, &cost),
+            Some((1, vec![0])),
             "expected remaining steps dominate the per-step size"
         );
         // A near-certain early exit collapses the expectation back down.
@@ -867,8 +875,13 @@ mod tests {
             ..deep
         };
         assert_eq!(
-            ShortestJobFirst.choose(0.0, QueueView::flat(&[exiting, request(1, 2048)]), &cards),
-            Some((0, 0)),
+            sjf.choose(
+                0.0,
+                QueueView::flat(&[exiting, request(1, 2048)]),
+                &cards,
+                &cost
+            ),
+            Some((0, vec![0])),
             "early exit discounts future steps"
         );
     }
@@ -891,8 +904,13 @@ mod tests {
         );
         let cards = [view(0, 1, 0.0)];
         assert_eq!(
-            ShortestJobFirst.choose(0.0, QueueView::flat(&[big, tiny]), &cards),
-            Some((0, 0)),
+            ShortestJobFirst::default().choose(
+                0.0,
+                QueueView::flat(&[big, tiny]),
+                &cards,
+                &model(1)
+            ),
+            Some((0, vec![0])),
             "background work must not jump the interactive class"
         );
     }
@@ -901,19 +919,20 @@ mod tests {
     fn affinity_prefers_home_then_falls_back() {
         let r = request(0, 1024);
         let queue = [r];
+        let cost = model(3);
         let home = HeadAffinity::home_card(r.shape.heads, r.shape.layers, 3);
         let mut cards = vec![view(0, 1, 0.0), view(1, 1, 0.0), view(2, 1, 0.0)];
         assert_eq!(
-            HeadAffinity.choose(0.0, QueueView::flat(&queue), &cards),
-            Some((0, home))
+            HeadAffinity.choose(0.0, QueueView::flat(&queue), &cards, &cost),
+            Some((0, vec![home]))
         );
         // Home busy: fall back to the soonest-finishing idle card.
         cards[home].idle_pipelines = 0;
         cards[(home + 1) % 3].backlog_seconds = 5.0;
         let expect = (home + 2) % 3;
         assert_eq!(
-            HeadAffinity.choose(0.0, QueueView::flat(&queue), &cards),
-            Some((0, expect))
+            HeadAffinity.choose(0.0, QueueView::flat(&queue), &cards, &cost),
+            Some((0, vec![expect]))
         );
     }
 
@@ -936,66 +955,103 @@ mod tests {
 
     #[test]
     fn sharded_policies_reduce_to_their_whole_request_forms() {
+        use crate::scenario::{FleetSpec, PolicySpec, ScenarioSpec};
+        // 1. Every spec builds a policy reporting the name it always has;
+        //    a one-shard cap reports the whole-request name.
+        let sharded = |max_shards, adaptive| {
+            [
+                PolicySpec::ShardedLeastLoaded {
+                    max_shards,
+                    adaptive,
+                },
+                PolicySpec::ShardedShortestJobFirst {
+                    max_shards,
+                    adaptive,
+                },
+            ]
+        };
+        let names: Vec<(PolicySpec, &str)> = vec![
+            (PolicySpec::Fifo, "fifo"),
+            (PolicySpec::LeastLoaded, "least-loaded"),
+            (PolicySpec::ShortestJobFirst, "shortest-job-first"),
+            (PolicySpec::HeadAffinity, "head-affinity"),
+            (sharded(4, true)[0], "least-loaded-sharded"),
+            (sharded(4, false)[0], "least-loaded-sharded-fixed"),
+            (sharded(4, true)[1], "shortest-job-first-sharded"),
+            (sharded(4, false)[1], "shortest-job-first-sharded-fixed"),
+            (sharded(1, true)[0], "least-loaded"),
+            (sharded(1, false)[0], "least-loaded"),
+            (sharded(1, true)[1], "shortest-job-first"),
+            (sharded(1, false)[1], "shortest-job-first"),
+            (
+                PolicySpec::SessionAffinity {
+                    capacity_per_card: 4,
+                },
+                "session-affinity",
+            ),
+        ];
+        for (spec, name) in names {
+            assert_eq!(spec.build().name(), name, "{spec:?}");
+        }
+
+        // 2. `new(1)`, `fixed(1)` and the default plan identically: one
+        //    entry, the soonest-finishing idle card, in queue order (LL)
+        //    or in SJF order.
         let queue = [request(0, 8192), request(1, 512)];
-        let cards = [view(0, 1, 3.0), view(1, 1, 1.0)];
-        let cost = model(2);
-        assert_eq!(
-            ShardedLeastLoaded::new(1).choose_sharded(0.0, QueueView::flat(&queue), &cards, &cost),
-            Some((0, vec![1]))
-        );
-        assert_eq!(
-            ShardedLeastLoaded::fixed(1).choose_sharded(
-                0.0,
-                QueueView::flat(&queue),
-                &cards,
-                &cost
-            ),
-            Some((0, vec![1])),
-            "adaptive and fixed agree at max_shards = 1"
-        );
-        assert_eq!(
-            LeastLoaded.choose(0.0, QueueView::flat(&queue), &cards),
-            Some((0, 1)),
-            "same pick as the unsharded policy"
-        );
-        // SJF variants keep the within-class reorder; the fixed baseline
-        // always fans to the cap, the adaptive one prices the widths but
-        // its plan is a prefix of the same fill order.
-        assert_eq!(
-            ShardedShortestJobFirst::fixed(2).choose_sharded(
-                0.0,
-                QueueView::flat(&queue),
-                &cards,
-                &cost
-            ),
-            Some((1, vec![1, 0]))
-        );
-        let (qi, plan) = ShardedShortestJobFirst::new(2)
-            .choose_sharded(0.0, QueueView::flat(&queue), &cards, &cost)
-            .unwrap();
-        assert_eq!(qi, 1);
-        assert!(plan == vec![1] || plan == vec![1, 0]);
-        // Default choose_sharded wraps choose as one whole shard.
-        assert_eq!(
-            Fifo.choose_sharded(0.0, QueueView::flat(&queue), &cards, &cost),
-            Some((0, vec![0])),
-            "fifo ties to the lowest idle card"
-        );
-        // Both sharded policies wait when the fleet is full or queue empty.
-        let busy = [view(0, 0, 0.0)];
-        assert_eq!(
-            ShardedLeastLoaded::new(3).choose_sharded(0.0, QueueView::flat(&queue), &busy, &cost),
-            None
-        );
-        assert_eq!(
-            ShardedShortestJobFirst::new(3).choose_sharded(
-                0.0,
-                QueueView::flat(&[]),
-                &cards,
-                &cost
-            ),
-            None
-        );
+        let cost = model(3);
+        for cards in [
+            [view(0, 1, 3.0), view(1, 1, 1.0), view(2, 2, 2.0)],
+            [view(0, 2, 0.0), view(1, 0, 0.0), view(2, 1, 0.5)],
+            [view(0, 0, 0.0), view(1, 0, 0.0), view(2, 0, 0.0)],
+        ] {
+            let expect = soonest_idle(&cards, &queue[0].shape).map(|c| (0, vec![c]));
+            for mut p in [
+                LeastLoaded::default(),
+                LeastLoaded::new(1),
+                LeastLoaded::fixed(1),
+            ] {
+                assert_eq!(
+                    p.choose(0.0, QueueView::flat(&queue), &cards, &cost),
+                    expect
+                );
+            }
+            let expect = soonest_idle(&cards, &queue[1].shape).map(|c| (1, vec![c]));
+            for mut p in [
+                ShortestJobFirst::default(),
+                ShortestJobFirst::new(1),
+                ShortestJobFirst::fixed(1),
+            ] {
+                assert_eq!(
+                    p.choose(0.0, QueueView::flat(&queue), &cards, &cost),
+                    expect
+                );
+            }
+        }
+
+        // 3. A one-shard sharded spec's report is byte-identical to the
+        //    whole-request spec's, policy name included, on a loaded
+        //    fleet where dispatch decisions actually compete.
+        let run = |policy| {
+            ScenarioSpec {
+                fleet: FleetSpec::standard(3),
+                arrivals: crate::arrival::ArrivalProcess::poisson(300.0),
+                policy,
+                seed: 7,
+                requests: 250,
+                ..ScenarioSpec::default()
+            }
+            .run()
+            .expect("valid spec")
+            .to_json()
+            .pretty()
+        };
+        let least_loaded = run(PolicySpec::LeastLoaded);
+        let sjf = run(PolicySpec::ShortestJobFirst);
+        for adaptive in [true, false] {
+            let [ll_one, sjf_one] = sharded(1, adaptive);
+            assert_eq!(run(ll_one), least_loaded);
+            assert_eq!(run(sjf_one), sjf);
+        }
     }
 
     #[test]
@@ -1085,16 +1141,10 @@ mod tests {
                 view(2, 1, backlogs[2]),
             ];
             let mut affinity = SessionAffinity::new(4);
-            let mut baseline = LeastLoaded;
             assert_eq!(
-                affinity.choose(0.0, QueueView::flat(&queue), &cards),
-                baseline.choose(0.0, QueueView::flat(&queue), &cards)
+                affinity.choose(0.0, QueueView::flat(&queue), &cards, &cost),
+                LeastLoaded::default().choose(0.0, QueueView::flat(&queue), &cards, &cost)
             );
-            let sharded = affinity.choose_sharded(0.0, QueueView::flat(&queue), &cards, &cost);
-            let base = baseline
-                .choose(0.0, QueueView::flat(&queue), &cards)
-                .map(|(qi, c)| (qi, vec![c]));
-            assert_eq!(sharded, base);
             assert_eq!(affinity.bound_sessions(), 0, "session 0 never binds");
         }
     }
@@ -1105,22 +1155,27 @@ mod tests {
         // First turn: no binding yet, lands on the soonest card (1, the
         // lighter backlog) and binds there.
         let turn = [request(0, 1024).with_session(7)];
+        let cost = model(2);
         let cards = [view(0, 2, 4.0), view(1, 2, 1.0)];
-        assert_eq!(p.choose(0.0, QueueView::flat(&turn), &cards), Some((0, 1)));
+        assert_eq!(
+            p.choose(0.0, QueueView::flat(&turn), &cards, &cost),
+            Some((0, vec![1]))
+        );
         assert_eq!(p.home(7), Some(1));
         // Later turn: card 0 is now the lighter card, but home still has
-        // an idle pipeline, so the session stays put.
-        let cards = [view(0, 2, 0.0), view(1, 1, 6.0)];
-        assert_eq!(p.choose(9.0, QueueView::flat(&turn), &cards), Some((0, 1)));
-        assert_eq!(p.home(7), Some(1));
-        // The priced path agrees when nothing prices the home past the
-        // defection margin (homogeneous cards, warm everywhere).
-        let cost = model(2);
-        let mut warm = [view(0, 2, 0.0), view(1, 1, 6.0)];
-        warm[0].resident = Some(turn[0].shape.family());
-        warm[1].resident = Some(turn[0].shape.family());
+        // an idle pipeline and nothing prices it past the defection
+        // margin (homogeneous cards, cold or warm alike), so the session
+        // stays put.
+        let mut cards = [view(0, 2, 0.0), view(1, 1, 6.0)];
         assert_eq!(
-            p.choose_sharded(9.0, QueueView::flat(&turn), &warm, &cost),
+            p.choose(9.0, QueueView::flat(&turn), &cards, &cost),
+            Some((0, vec![1]))
+        );
+        assert_eq!(p.home(7), Some(1));
+        cards[0].resident = Some(turn[0].shape.family());
+        cards[1].resident = Some(turn[0].shape.family());
+        assert_eq!(
+            p.choose(9.0, QueueView::flat(&turn), &cards, &cost),
             Some((0, vec![1]))
         );
     }
@@ -1129,26 +1184,37 @@ mod tests {
     fn session_affinity_migrates_when_home_is_busy_or_dead() {
         let mut p = SessionAffinity::new(4);
         let turn = [request(0, 1024).with_session(3)];
+        let cost = model(2);
         let cards = [view(0, 2, 2.0), view(1, 2, 0.0)];
-        assert_eq!(p.choose(0.0, QueueView::flat(&turn), &cards), Some((0, 1)));
+        assert_eq!(
+            p.choose(0.0, QueueView::flat(&turn), &cards, &cost),
+            Some((0, vec![1]))
+        );
         // Home (card 1) loses its pipelines — a saturated or dead card
         // looks the same to the policy: zero idle pipelines. The turn
         // falls back to the soonest idle card and the binding follows.
         let cards = [view(0, 2, 2.0), view(1, 0, 0.0)];
-        assert_eq!(p.choose(5.0, QueueView::flat(&turn), &cards), Some((0, 0)));
+        assert_eq!(
+            p.choose(5.0, QueueView::flat(&turn), &cards, &cost),
+            Some((0, vec![0]))
+        );
         assert_eq!(p.home(3), Some(0), "the binding migrates with the turn");
         // Whole fleet full: the policy waits rather than inventing a slot.
         let cards = [view(0, 0, 2.0), view(1, 0, 0.0)];
-        assert_eq!(p.choose(6.0, QueueView::flat(&turn), &cards), None);
+        assert_eq!(p.choose(6.0, QueueView::flat(&turn), &cards, &cost), None);
     }
 
     #[test]
     fn session_affinity_evicts_the_lru_binding_under_capacity_pressure() {
         let mut p = SessionAffinity::new(2);
         let cards = [view(0, 2, 0.0)];
+        let cost = model(1);
+        let serve = |p: &mut SessionAffinity, id, session, now| {
+            let turn = [request(id, 512).with_session(session)];
+            p.choose(now, QueueView::flat(&turn), &cards, &cost)
+        };
         for session in 1..=3u64 {
-            let turn = [request(session, 512).with_session(session)];
-            assert_eq!(p.choose(0.0, QueueView::flat(&turn), &cards), Some((0, 0)));
+            assert_eq!(serve(&mut p, session, session, 0.0), Some((0, vec![0])));
         }
         // Capacity 2 on the only card: binding session 3 evicted the
         // least-recently-used session (1); 2 and 3 remain resident.
@@ -1158,10 +1224,8 @@ mod tests {
         assert_eq!(p.home(3), Some(0));
         // Re-touching session 2 before a new arrival protects it: now 3
         // is the LRU and gets evicted instead.
-        let turn = [request(9, 512).with_session(2)];
-        assert_eq!(p.choose(1.0, QueueView::flat(&turn), &cards), Some((0, 0)));
-        let turn = [request(10, 512).with_session(4)];
-        assert_eq!(p.choose(2.0, QueueView::flat(&turn), &cards), Some((0, 0)));
+        assert_eq!(serve(&mut p, 9, 2, 1.0), Some((0, vec![0])));
+        assert_eq!(serve(&mut p, 10, 4, 2.0), Some((0, vec![0])));
         assert_eq!(p.home(3), None);
         assert_eq!(p.home(2), Some(0));
         assert_eq!(p.home(4), Some(0));
@@ -1196,13 +1260,16 @@ mod tests {
         // Bind the session to card 1 while card 0 is saturated.
         let turn = [r];
         let cards = [view(0, 0, 0.0), view(1, 2, 0.0)];
-        assert_eq!(p.choose(0.0, QueueView::flat(&turn), &cards), Some((0, 1)));
+        assert_eq!(
+            p.choose(0.0, QueueView::flat(&turn), &cards, &cost),
+            Some((0, vec![1]))
+        );
         // Next turn: both cards idle, the family resident only on card 0.
         // Home (1) is cold — the swap-burdened price defects the turn.
         let mut cards = [view(0, 2, 0.0), view(1, 2, 0.0)];
         cards[0].resident = Some(r.shape.family());
         assert_eq!(
-            p.choose_sharded(4.0, QueueView::flat(&turn), &cards, &cost),
+            p.choose(4.0, QueueView::flat(&turn), &cards, &cost),
             Some((0, vec![0]))
         );
         assert_eq!(p.home(11), Some(0), "defection migrates the binding");
@@ -1210,9 +1277,12 @@ mod tests {
         cards[1].resident = Some(r.shape.family());
         let turn = [r.with_session(12)];
         let busy = [view(0, 0, 0.0), view(1, 2, 0.0)];
-        assert_eq!(p.choose(5.0, QueueView::flat(&turn), &busy), Some((0, 1)));
         assert_eq!(
-            p.choose_sharded(6.0, QueueView::flat(&turn), &cards, &cost),
+            p.choose(5.0, QueueView::flat(&turn), &busy, &cost),
+            Some((0, vec![1]))
+        );
+        assert_eq!(
+            p.choose(6.0, QueueView::flat(&turn), &cards, &cost),
             Some((0, vec![1])),
             "a warm home within the margin keeps the session"
         );

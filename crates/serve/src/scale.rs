@@ -42,7 +42,7 @@
 //! };
 //! let report = Simulation::new(&FleetConfig::standard(4))
 //!     .autoscale(AutoscalerConfig::standard())
-//!     .run(&mut LeastLoaded, &spec.requests(300));
+//!     .run(&mut LeastLoaded::default(), &spec.requests(300));
 //! assert!(!report.scaling.is_empty(), "the ramp must trigger scaling");
 //! assert!(report.idle_energy_joules >= 0.0);
 //! ```
@@ -354,10 +354,7 @@ mod tests {
             layers: 6,
             batch: 1,
         };
-        let mut scratch = Vec::new();
-        let a = f
-            .card_mut(1)
-            .admit(&Request::new(0, 0.0, shape), 0.0, false, &mut scratch);
+        let a = f.card_mut(1).admit(&Request::new(0, 0.0, shape), 0.0);
         scaler.evaluate(a.finish * 0.5, 0, &mut f, &mut events);
         assert!(f.cards()[1].powered(), "busy card must not park");
         assert!(!f.cards()[0].powered(), "the idle card parks instead");

@@ -51,8 +51,7 @@ use crate::fleet::{CardGroup, FleetConfig};
 use crate::json::Json;
 use crate::metrics::ServeReport;
 use crate::policy::{
-    DispatchPolicy, Fifo, HeadAffinity, LeastLoaded, SessionAffinity, ShardedLeastLoaded,
-    ShardedShortestJobFirst, ShortestJobFirst,
+    DispatchPolicy, Fifo, HeadAffinity, LeastLoaded, SessionAffinity, ShortestJobFirst,
 };
 use crate::request::Request;
 use crate::scale::AutoscalerConfig;
@@ -364,20 +363,21 @@ impl TrafficModel {
 pub enum PolicySpec {
     /// First-in, first-out ([`Fifo`]).
     Fifo,
-    /// Least backlog ([`LeastLoaded`]).
+    /// Least backlog, whole-request ([`LeastLoaded::default`]).
     LeastLoaded,
-    /// Smallest service estimate first ([`ShortestJobFirst`]).
+    /// Smallest service estimate first, whole-request
+    /// ([`ShortestJobFirst::default`]).
     ShortestJobFirst,
     /// Deterministic head-family homes ([`HeadAffinity`]).
     HeadAffinity,
-    /// Split-aware least-loaded ([`ShardedLeastLoaded`]).
+    /// Least-loaded with a fan-out cap ([`LeastLoaded`]).
     ShardedLeastLoaded {
         /// Fan-out cap per request.
         max_shards: usize,
         /// Cost-model adaptive width (`new`) vs always-fan (`fixed`).
         adaptive: bool,
     },
-    /// Split-aware SJF ([`ShardedShortestJobFirst`]).
+    /// SJF with a fan-out cap ([`ShortestJobFirst`]).
     ShardedShortestJobFirst {
         /// Fan-out cap per request.
         max_shards: usize,
@@ -396,24 +396,22 @@ impl PolicySpec {
     pub fn build(&self) -> Box<dyn DispatchPolicy> {
         match *self {
             PolicySpec::Fifo => Box::new(Fifo),
-            PolicySpec::LeastLoaded => Box::new(LeastLoaded),
-            PolicySpec::ShortestJobFirst => Box::new(ShortestJobFirst),
+            PolicySpec::LeastLoaded => Box::new(LeastLoaded::default()),
+            PolicySpec::ShortestJobFirst => Box::new(ShortestJobFirst::default()),
             PolicySpec::HeadAffinity => Box::new(HeadAffinity),
             PolicySpec::ShardedLeastLoaded {
                 max_shards,
                 adaptive,
-            } => Box::new(if adaptive {
-                ShardedLeastLoaded::new(max_shards)
-            } else {
-                ShardedLeastLoaded::fixed(max_shards)
+            } => Box::new(LeastLoaded {
+                max_shards,
+                adaptive,
             }),
             PolicySpec::ShardedShortestJobFirst {
                 max_shards,
                 adaptive,
-            } => Box::new(if adaptive {
-                ShardedShortestJobFirst::new(max_shards)
-            } else {
-                ShardedShortestJobFirst::fixed(max_shards)
+            } => Box::new(ShortestJobFirst {
+                max_shards,
+                adaptive,
             }),
             PolicySpec::SessionAffinity { capacity_per_card } => {
                 Box::new(SessionAffinity::new(capacity_per_card))
@@ -1266,7 +1264,7 @@ mod tests {
                 max_shards: 4,
                 adaptive: true,
             },
-            admission: AdmissionControl::shed_background_at(16),
+            admission: AdmissionControl::admit_all().with_cap(RequestClass::Background, 16),
             preemption: PreemptionSpec::AfterWait { threshold_s: 0.2 },
             autoscale: Some(AutoscalerConfig::standard().with_min_cards(2)),
             faults: vec![
@@ -1320,7 +1318,7 @@ mod tests {
         let by_hand = Simulation::new(&fleet)
             .arrivals_label("bursty/production")
             .preemption(PreemptionControl::after_wait(0.1))
-            .run(&mut LeastLoaded, &traffic.requests(200));
+            .run(&mut LeastLoaded::default(), &traffic.requests(200));
         assert_eq!(by_spec.to_json().pretty(), by_hand.to_json().pretty());
     }
 

@@ -1,24 +1,24 @@
 //! The discrete-event simulation loop.
 //!
-//! Eight event kinds drive time forward: a request **arrives** (enters
+//! Nine event kinds drive time forward: a request **arrives** (enters
 //! the priority queue — or is shed by admission control), a pipeline
-//! **drains** (capacity frees), a **preemption check** fires (a waiting
-//! interactive request's patience ran out), a **warm-up** completes
-//! (an autoscaled card becomes dispatchable), a **scaling check**
-//! wakes the autoscaler when an idle card reaches park eligibility
-//! inside a quiet gap, and three seeded **fault** kinds — a card
-//! **dies** (its in-flight shards requeue as remnants; see
+//! **drains** (capacity frees), a decode **step completes** (the last
+//! shard of a step fanned in and more steps are owed), a **preemption
+//! check** fires (a waiting interactive request's patience ran out), a
+//! **warm-up** completes (an autoscaled card becomes dispatchable), a
+//! **scaling check** wakes the autoscaler when an idle card reaches park
+//! eligibility inside a quiet gap, and three seeded **fault** kinds — a
+//! card **dies** (its in-flight shards requeue as remnants; see
 //! [`crate::fault::FaultPlan`]), a card **degrades** (its calibration
 //! stretches and the shared cost model re-snapshots), a dead card
 //! **revives** (cold, after a warm-up). A **dispatch** follows every
 //! event batch: the policy assigns queued requests to cards whenever both
-//! a request and an idle pipeline exist. A dispatched request is split
-//! into one or more **shards** — because its `batch × layers × heads`
-//! attention jobs are independent, a split-aware policy
-//! ([`DispatchPolicy::choose_sharded`]) may fan them out across several
-//! idle pipelines of one card group, and the request completes when its
-//! *last* shard drains (fan-in). Whole-request policies are the
-//! single-shard special case. Service times come from the card's
+//! a request and an idle pipeline exist. Every decision is a plan of one
+//! or more **shards** ([`DispatchPolicy::choose`]) — because a request's
+//! `batch × layers × heads` attention jobs are independent, a plan may
+//! fan them out across several idle pipelines of one card group, and the
+//! request completes when its *last* shard drains (fan-in). Whole-request
+//! dispatch is the one-shard plan. Service times come from the card's
 //! calibrated timing model stretched by shared-memory contention (see
 //! [`crate::fleet::Card::job_seconds`]). Under a [`PreemptionControl`]
 //! the dispatcher may checkpoint-and-requeue the youngest in-flight
@@ -38,9 +38,9 @@
 //! an event (completion, eviction, warm-up, scaling) or carrying decaying
 //! backlog are recomputed per batch, with a debug-build cross-check
 //! against the full recompute. Determinism is
-//! structural: events order by
-//! `(time, Arrival < Completion < Preemption < Warmed < ScaleCheck, card,
-//! id, shard)`, the
+//! structural: events order by `(time, kind, card, id, shard)` with
+//! kinds ordered `Arrival < Completion < StepComplete < Preemption <
+//! Warmed < ScaleCheck < CardDeath < CardDegrade < CardRevive`, the
 //! waiting queue orders by `(class rank, id)`, and all randomness lives
 //! in the seeded generators upstream. Preempted completions are handled
 //! by tombstoning: the stale completion timer stays in the heap and is
@@ -131,9 +131,7 @@ impl TrafficSpec {
 /// `queue_caps[c.rank()]` or more requests (of any class). Tighter caps
 /// on lower classes keep best-effort filler from burying
 /// latency-sensitive traffic during overload while interactive work stays
-/// admitted; an uncapped class (`None`) is always admitted. The original
-/// single-knob behaviour — shed only background — is the special case
-/// [`AdmissionControl::shed_background_at`].
+/// admitted; an uncapped class (`None`) is always admitted.
 ///
 /// # Examples
 ///
@@ -162,13 +160,6 @@ impl AdmissionControl {
         AdmissionControl {
             queue_caps: [None; RequestClass::ALL.len()],
         }
-    }
-
-    /// Shed lowest-class arrivals once the queue holds `cap` requests —
-    /// the single-budget special case kept from before per-class budgets
-    /// existed.
-    pub fn shed_background_at(cap: usize) -> AdmissionControl {
-        AdmissionControl::admit_all().with_cap(RequestClass::lowest(), cap)
     }
 
     /// Caps `class` arrivals at queue depth `cap`, leaving other budgets
@@ -268,10 +259,10 @@ impl PreemptionControl {
 /// truncated (max/mean remain exact) so 10⁵-request sweeps stay small.
 const TIMELINE_CAP: usize = 4096;
 
-/// A configured simulation: fleet plus run options. The builder exists so
-/// callers of [`Simulation::run`] control what the old hard-coded pieces
-/// of `simulate` were — the report's arrivals label (no more `"trace"`
-/// patched after the fact), tracing, and admission control.
+/// A configured simulation: a fleet plus run options (the report's
+/// arrivals label, admission control, preemption, autoscaling, faults,
+/// telemetry and decode batching), each set by one builder method and
+/// inert by default.
 ///
 /// # Examples
 ///
@@ -280,7 +271,7 @@ const TIMELINE_CAP: usize = 4096;
 /// use swat_serve::policy::LeastLoaded;
 /// use swat_serve::sim::{AdmissionControl, Simulation, TrafficSpec};
 /// use swat_serve::arrival::ArrivalProcess;
-/// use swat_workloads::RequestMix;
+/// use swat_workloads::{RequestClass, RequestMix};
 ///
 /// let spec = TrafficSpec {
 ///     arrivals: ArrivalProcess::poisson(30.0),
@@ -289,8 +280,8 @@ const TIMELINE_CAP: usize = 4096;
 /// };
 /// let report = Simulation::new(&FleetConfig::standard(2))
 ///     .arrivals_label("poisson/production")
-///     .admission(AdmissionControl::shed_background_at(64))
-///     .run(&mut LeastLoaded, &spec.requests(200));
+///     .admission(AdmissionControl::admit_all().with_cap(RequestClass::Background, 64))
+///     .run(&mut LeastLoaded::default(), &spec.requests(200));
 /// assert_eq!(report.arrivals, "poisson/production");
 /// assert_eq!(report.offered, 200);
 /// ```
@@ -298,7 +289,6 @@ const TIMELINE_CAP: usize = 4096;
 pub struct Simulation<'a> {
     fleet: &'a FleetConfig,
     arrivals_label: String,
-    trace: bool,
     admission: AdmissionControl,
     preemption: PreemptionControl,
     autoscale: Option<AutoscalerConfig>,
@@ -339,14 +329,13 @@ impl DecodeBatching {
 }
 
 impl<'a> Simulation<'a> {
-    /// A simulation of `fleet` with default options: label `"trace"`, no
-    /// placement tracing, admit everything, never preempt, no autoscaler
-    /// (every card powered for the whole run).
+    /// A simulation of `fleet` with default options: label `"trace"`,
+    /// admit everything, never preempt, no autoscaler (every card powered
+    /// for the whole run).
     pub fn new(fleet: &'a FleetConfig) -> Simulation<'a> {
         Simulation {
             fleet,
             arrivals_label: "trace".to_string(),
-            trace: false,
             admission: AdmissionControl::admit_all(),
             preemption: PreemptionControl::disabled(),
             autoscale: None,
@@ -359,14 +348,6 @@ impl<'a> Simulation<'a> {
     /// Sets the report's `arrivals` label (what generated the trace).
     pub fn arrivals_label(mut self, label: impl Into<String>) -> Simulation<'a> {
         self.arrivals_label = label.into();
-        self
-    }
-
-    /// Records one [`Placement`](swat::schedule::Placement) per attention
-    /// job — orders of magnitude more memory, meant for tests and small
-    /// replays.
-    pub fn trace(mut self, trace: bool) -> Simulation<'a> {
-        self.trace = trace;
         self
     }
 
@@ -410,8 +391,7 @@ impl<'a> Simulation<'a> {
     /// behind the p50/p95/p99 fields plus a bounded time-bucketed gauge
     /// histogram attached as [`ServeReport::telemetry`]. The *schedule*
     /// is bitwise identical either way; only the report's summary
-    /// statistics are approximated (and `placements` tracing is
-    /// unavailable, as it is itself unbounded).
+    /// statistics are approximated.
     pub fn telemetry(mut self, mode: TelemetryMode) -> Simulation<'a> {
         self.telemetry = mode;
         self
@@ -573,8 +553,6 @@ impl<'a> Simulation<'a> {
             },
             TelemetryMode::Streaming => Accum::Streaming(Box::new(StreamingAccum::new())),
         };
-        let mut placements: Vec<(usize, swat::schedule::Placement)> = Vec::new();
-        let mut scratch: Vec<swat::schedule::Placement> = Vec::new();
         // Reusable CardView scratch: one snapshot per card, maintained
         // incrementally. A card is recomputed only when an event marked
         // it `stale` or its last snapshot still carried backlog (backlog
@@ -804,20 +782,14 @@ impl<'a> Simulation<'a> {
                             if live {
                                 sink.dispatch(now, &table.requests[fi], &[card], None);
                             }
-                            scratch.clear();
                             let admission = fleet.card_mut(card).admit_jobs(
                                 &table.requests[fi],
                                 0,
                                 jobs,
                                 streams,
                                 now,
-                                self.trace,
-                                &mut scratch,
                             );
                             table.requests[fi].pending_restart = false;
-                            if self.trace {
-                                placements.extend(scratch.drain(..).map(|p| (card, p)));
-                            }
                             let shard = table.flights[fi].next_shard;
                             table.flights[fi].next_shard += 1;
                             table.flights[fi].dispatched = now;
@@ -1012,10 +984,10 @@ impl<'a> Simulation<'a> {
                     .then(|| events.pop().expect("peeked event must pop").1);
             }
 
-            // 3. Dispatch while the policy finds work and capacity. A
-            //    whole-request policy yields single-entry plans; a
-            //    split-aware one fans the request's jobs out across the
-            //    plan's pipelines, one shard per entry.
+            // 3. Dispatch while the policy finds work and capacity. Each
+            //    plan fans the request's jobs out across its pipelines,
+            //    one shard per entry (whole-request dispatch is the
+            //    one-entry plan).
             //
             //    Views refresh incrementally: only cards an event marked
             //    stale, or whose last snapshot still carried backlog
@@ -1042,7 +1014,7 @@ impl<'a> Simulation<'a> {
                 );
             }
             while let Some((qi, plan)) =
-                policy.choose_sharded(now, queue.view(&table.requests), &views, &cost)
+                policy.choose(now, queue.view(&table.requests), &views, &cost)
             {
                 assert!(
                     !plan.is_empty(),
@@ -1115,7 +1087,6 @@ impl<'a> Simulation<'a> {
                 let mut realized = now;
                 for (i, &card) in plan[..width].iter().enumerate() {
                     let jobs = base + usize::from(i < extra);
-                    scratch.clear();
                     let streams = stream_scratch[stream_scratch
                         .binary_search_by_key(&card, |e| e.0)
                         .expect("every plan card was counted")]
@@ -1126,17 +1097,12 @@ impl<'a> Simulation<'a> {
                         jobs,
                         streams,
                         now,
-                        self.trace,
-                        &mut scratch,
                     );
                     // Each preemption is paid for exactly once: the
                     // remnant's first shard carried any pending restart,
                     // its siblings (and later admissions) must not.
                     table.requests[fi].pending_restart = false;
                     realized = realized.max(admission.finish);
-                    if self.trace {
-                        placements.extend(scratch.drain(..).map(|p| (card, p)));
-                    }
                     let shard = table.flights[fi].next_shard;
                     table.flights[fi].next_shard += 1;
                     table.append_shard(
@@ -1342,7 +1308,6 @@ impl<'a> Simulation<'a> {
                     scaling,
                     cost_prediction,
                     faults,
-                    placements,
                 )
             }
             Accum::Streaming(stats) => {
@@ -1355,7 +1320,7 @@ impl<'a> Simulation<'a> {
                 stats.into_report(
                     policy.name(),
                     &self.arrivals_label,
-                    failed.len(),
+                    &failed,
                     queue_of(span),
                     cards_of(&fleet, span),
                     preemptions,
@@ -1561,6 +1526,8 @@ impl Accum {
 struct ClassAccum {
     completed: usize,
     rejected: usize,
+    /// Requests stranded by a fleet-wide death: offered, never served.
+    failed: usize,
     slo_violations: usize,
     latency: StreamingSummary,
 }
@@ -1570,6 +1537,7 @@ impl ClassAccum {
         ClassAccum {
             completed: 0,
             rejected: 0,
+            failed: 0,
             slo_violations: 0,
             latency: StreamingSummary::new(),
         }
@@ -1646,14 +1614,15 @@ impl StreamingAccum {
     /// Builds the report from the sketches — the same shape
     /// [`ServeReport::assemble`] produces, with percentiles estimated
     /// instead of exact and the gauge histogram attached as `telemetry`.
-    /// Session summaries are unavailable in streaming mode (per-session
-    /// state is unbounded), so `sessions` stays `None`.
+    /// `failed` requests count toward their class's offered tally, as in
+    /// exact mode. Session summaries are unavailable in streaming mode
+    /// (per-session state is unbounded), so `sessions` stays `None`.
     #[allow(clippy::too_many_arguments)]
     fn into_report(
-        self,
+        mut self,
         policy: &str,
         arrivals: &str,
-        failed: usize,
+        failed: &[Request],
         queue: QueueSummary,
         cards: Vec<CardSummary>,
         preemptions: Vec<PreemptionRecord>,
@@ -1661,6 +1630,9 @@ impl StreamingAccum {
         cost_prediction: Option<CostPrediction>,
         faults: Option<FaultSummary>,
     ) -> ServeReport {
+        for r in failed {
+            self.classes[r.class.rank() as usize].failed += 1;
+        }
         let makespan = if self.completed == 0 {
             0.0
         } else {
@@ -1671,10 +1643,10 @@ impl StreamingAccum {
         let classes: Vec<ClassSummary> = RequestClass::ALL
             .iter()
             .zip(&self.classes)
-            .filter(|(_, acc)| acc.completed + acc.rejected > 0)
+            .filter(|(_, acc)| acc.completed + acc.rejected + acc.failed > 0)
             .map(|(&class, acc)| ClassSummary {
                 class,
-                offered: acc.completed + acc.rejected,
+                offered: acc.completed + acc.rejected + acc.failed,
                 completed: acc.completed,
                 rejected: acc.rejected,
                 slo_violations: acc.slo_violations,
@@ -1688,10 +1660,10 @@ impl StreamingAccum {
         ServeReport {
             policy: policy.to_string(),
             arrivals: arrivals.to_string(),
-            offered: self.completed + self.rejected + failed,
+            offered: self.completed + self.rejected + failed.len(),
             completed: self.completed,
             rejected: self.rejected,
-            failed,
+            failed: failed.len(),
             sharded_requests: self.sharded_requests,
             max_shards: self.shard_widths.len(),
             shard_widths: self.shard_widths,
@@ -1715,7 +1687,6 @@ impl StreamingAccum {
             faults,
             sessions: None,
             decode: None,
-            placements: Vec::new(),
             telemetry: Some(telemetry),
         }
     }
@@ -1966,26 +1937,6 @@ fn card_summary(index: usize, card: &Card, span: f64) -> CardSummary {
     }
 }
 
-/// Runs `requests` (sorted by arrival) through a fleet under a policy —
-/// the original entry point, kept as a thin wrapper over [`Simulation`].
-/// The report's arrivals label is `"trace"`; use the builder to set it.
-///
-/// # Panics
-///
-/// Panics if `requests` is empty, not sorted by arrival time, or contains
-/// duplicate ids, or if the fleet configuration is invalid (see
-/// [`Simulation::run`]).
-pub fn simulate(
-    fleet_cfg: &FleetConfig,
-    policy: &mut dyn DispatchPolicy,
-    requests: &[Request],
-    trace: bool,
-) -> ServeReport {
-    Simulation::new(fleet_cfg)
-        .trace(trace)
-        .run(policy, requests)
-}
-
 /// Convenience wrapper: generate `n` requests from `traffic`, serve them,
 /// and label the report with the arrival process and mix names.
 pub fn serve(
@@ -2007,7 +1958,8 @@ pub fn serve(
 mod tests {
     use super::*;
     use crate::event::QueueView;
-    use crate::policy::{all_policies, Fifo, LeastLoaded};
+    use crate::policy::{all_policies, Fifo, LeastLoaded, ShortestJobFirst};
+    use crate::trace::{RecordingSink, TraceEvent};
 
     fn traffic(seed: u64) -> TrafficSpec {
         TrafficSpec {
@@ -2032,26 +1984,28 @@ mod tests {
     #[test]
     fn reports_are_bitwise_deterministic() {
         let fleet = FleetConfig::standard(3);
-        let a = serve(&fleet, &mut LeastLoaded, &traffic(11), 400);
-        let b = serve(&fleet, &mut LeastLoaded, &traffic(11), 400);
+        let a = serve(&fleet, &mut LeastLoaded::default(), &traffic(11), 400);
+        let b = serve(&fleet, &mut LeastLoaded::default(), &traffic(11), 400);
         assert_eq!(a, b);
         assert_eq!(a.to_json().pretty(), b.to_json().pretty());
-        let c = serve(&fleet, &mut LeastLoaded, &traffic(12), 400);
+        let c = serve(&fleet, &mut LeastLoaded::default(), &traffic(12), 400);
         assert_ne!(a.latency, c.latency, "different seeds must differ");
     }
 
     /// The event-heap kernel must reproduce the original O(n)-rescan loop
     /// exactly. This reference implementation is a line-for-line port of
-    /// the pre-kernel `simulate` (arrival-ordered Vec queue, linear scans
-    /// for due completions and the next event); for single-class traffic
-    /// the priority queue orders identically, so any divergence is a
-    /// kernel bug, not a semantics change.
+    /// the pre-kernel loop (arrival-ordered Vec queue, linear scans for
+    /// due completions and the next event, one whole-request admission
+    /// per decision); for single-class traffic the priority queue orders
+    /// identically, so any divergence is a kernel bug, not a semantics
+    /// change.
     fn reference_simulate(
         fleet_cfg: &FleetConfig,
         policy: &mut dyn DispatchPolicy,
         requests: &[Request],
     ) -> ServeReport {
         let mut fleet: Fleet = fleet_cfg.build().expect("invalid fleet configuration");
+        let cost = CostModel::for_fleet(&fleet);
         for i in 0..fleet.cards().len() {
             fleet
                 .card_mut(i)
@@ -2060,7 +2014,6 @@ mod tests {
         let mut queue: Vec<Request> = Vec::new();
         let mut completed: Vec<crate::request::CompletedRequest> = Vec::new();
         let mut in_flight: Vec<(f64, crate::request::CompletedRequest)> = Vec::new();
-        let mut scratch: Vec<swat::schedule::Placement> = Vec::new();
 
         let mut timeline: Vec<QueueSample> = Vec::new();
         let mut max_depth = 0usize;
@@ -2091,14 +2044,15 @@ mod tests {
                     .enumerate()
                     .map(|(i, c)| card_view(i, c, now))
                     .collect();
-                let Some((qi, card)) = policy.choose(now, QueueView::flat(&queue), &views) else {
+                let Some((qi, plan)) = policy.choose(now, QueueView::flat(&queue), &views, &cost)
+                else {
                     break;
                 };
+                let [card] = plan[..] else {
+                    panic!("the reference admits whole requests only, got plan {plan:?}");
+                };
                 let request = queue.remove(qi);
-                scratch.clear();
-                let admission = fleet
-                    .card_mut(card)
-                    .admit(&request, now, false, &mut scratch);
+                let admission = fleet.card_mut(card).admit(&request, now);
                 in_flight.push((
                     admission.finish,
                     crate::request::CompletedRequest {
@@ -2167,7 +2121,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         )
     }
 
@@ -2180,7 +2133,7 @@ mod tests {
             let requests = traffic(seed).requests(250);
             let fleet = FleetConfig::standard(3);
             for i in 0..all_policies().len() {
-                let heap = simulate(&fleet, &mut *all_policies().remove(i), &requests, false);
+                let heap = Simulation::new(&fleet).run(&mut *all_policies().remove(i), &requests);
                 let reference =
                     reference_simulate(&fleet, &mut *all_policies().remove(i), &requests);
                 assert_eq!(heap, reference, "seed {seed}, policy {}", heap.policy);
@@ -2210,7 +2163,7 @@ mod tests {
     fn arrivals_label_is_settable() {
         let fleet = FleetConfig::standard(1);
         let requests = traffic(7).requests(20);
-        let plain = simulate(&fleet, &mut Fifo, &requests, false);
+        let plain = Simulation::new(&fleet).run(&mut Fifo, &requests);
         assert_eq!(plain.arrivals, "trace", "default label unchanged");
         let labeled = Simulation::new(&fleet)
             .arrivals_label("replayed-capture")
@@ -2250,11 +2203,11 @@ mod tests {
             seed: 9,
         };
         let requests = spec.requests(400);
-        let open = simulate(&fleet, &mut Fifo, &requests, false);
+        let open = Simulation::new(&fleet).run(&mut Fifo, &requests);
         assert_eq!(open.rejected, 0);
 
         let capped = Simulation::new(&fleet)
-            .admission(AdmissionControl::shed_background_at(16))
+            .admission(AdmissionControl::admit_all().with_cap(RequestClass::Background, 16))
             .run(&mut Fifo, &requests);
         assert!(capped.rejected > 0, "overload must trip the cap");
         assert_eq!(capped.offered, requests.len());
@@ -2300,7 +2253,7 @@ mod tests {
     fn preemption_fires_and_helps_interactive_latency() {
         let fleet = FleetConfig::standard(1);
         let requests = bursty_lulls(13, 250, 2.5);
-        let patient = simulate(&fleet, &mut Fifo, &requests, false);
+        let patient = Simulation::new(&fleet).run(&mut Fifo, &requests);
         assert!(patient.preemptions.is_empty(), "off by default");
         let eager = Simulation::new(&fleet)
             .preemption(PreemptionControl::after_wait(0.05))
@@ -2343,7 +2296,7 @@ mod tests {
         let run = |control: PreemptionControl| {
             Simulation::new(&fleet)
                 .preemption(control)
-                .run(&mut LeastLoaded, &requests)
+                .run(&mut LeastLoaded::default(), &requests)
         };
         let youngest = run(PreemptionControl::after_wait(0.05));
         let cheap = run(PreemptionControl::cost_aware(0.05));
@@ -2396,7 +2349,7 @@ mod tests {
         // non-preemptive run exactly when no preemption ever fires.
         let fleet = FleetConfig::standard(1);
         let requests = traffic(3).requests(20);
-        let off = simulate(&fleet, &mut Fifo, &requests, false);
+        let off = Simulation::new(&fleet).run(&mut Fifo, &requests);
         let on = Simulation::new(&fleet)
             .preemption(PreemptionControl::after_wait(30.0))
             .run(&mut Fifo, &requests);
@@ -2416,7 +2369,7 @@ mod tests {
         let run = || {
             Simulation::new(&fleet)
                 .preemption(PreemptionControl::after_wait(0.08))
-                .run(&mut LeastLoaded, &requests)
+                .run(&mut LeastLoaded::default(), &requests)
         };
         let a = run();
         let b = run();
@@ -2439,8 +2392,8 @@ mod tests {
         let requests = spec.requests(400);
         let elastic = Simulation::new(&fleet)
             .autoscale(AutoscalerConfig::standard())
-            .run(&mut LeastLoaded, &requests);
-        let static_run = simulate(&fleet, &mut LeastLoaded, &requests, false);
+            .run(&mut LeastLoaded::default(), &requests);
+        let static_run = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &requests);
         assert_eq!(elastic.completed, requests.len());
         assert!(!elastic.scaling.is_empty(), "bursts must trigger scaling");
         assert!(
@@ -2478,7 +2431,7 @@ mod tests {
         let run = || {
             Simulation::new(&fleet)
                 .autoscale(AutoscalerConfig::standard().with_min_cards(2))
-                .run(&mut LeastLoaded, &requests)
+                .run(&mut LeastLoaded::default(), &requests)
         };
         let a = run();
         assert_eq!(a, run());
@@ -2517,7 +2470,7 @@ mod tests {
         assert_eq!(budgeted.completed + budgeted.rejected, requests.len());
         // The legacy single-knob constructor is the per-class special case.
         let legacy = Simulation::new(&fleet)
-            .admission(AdmissionControl::shed_background_at(8))
+            .admission(AdmissionControl::admit_all().with_cap(RequestClass::Background, 8))
             .run(&mut Fifo, &requests);
         assert_eq!(legacy.class(RequestClass::Batch).unwrap().rejected, 0);
         assert!(legacy.class(RequestClass::Background).unwrap().rejected > 0);
@@ -2563,10 +2516,10 @@ mod tests {
             seed: 11,
         };
         let requests = spec.requests(200);
-        let open = simulate(&fleet, &mut LeastLoaded, &requests, false);
+        let open = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &requests);
         let shedding = Simulation::new(&fleet)
-            .admission(AdmissionControl::shed_background_at(0))
-            .run(&mut LeastLoaded, &requests);
+            .admission(AdmissionControl::admit_all().with_cap(RequestClass::Background, 0))
+            .run(&mut LeastLoaded::default(), &requests);
         assert!(shedding.rejected > 0, "the zero cap must shed something");
         let expected =
             (shedding.completed - shedding.slo_violations) as f64 / shedding.offered as f64;
@@ -2581,7 +2534,6 @@ mod tests {
 
     #[test]
     fn sharded_dispatch_fans_out_and_in() {
-        use crate::policy::ShardedLeastLoaded;
         // Light load on two dual-pipeline cards: most requests find
         // several idle pipelines and split. Everything completes, the
         // report counts the fan-outs, and per-request latency beats the
@@ -2593,8 +2545,8 @@ mod tests {
             seed: 19,
         };
         let requests = spec.requests(100);
-        let whole = simulate(&fleet, &mut LeastLoaded, &requests, false);
-        let sharded = Simulation::new(&fleet).run(&mut ShardedLeastLoaded::new(4), &requests);
+        let whole = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &requests);
+        let sharded = Simulation::new(&fleet).run(&mut LeastLoaded::new(4), &requests);
         assert_eq!(sharded.completed, requests.len());
         assert!(sharded.sharded_requests > 0, "light load must fan out");
         assert!(sharded.max_shards > 1 && sharded.max_shards <= 4);
@@ -2628,7 +2580,6 @@ mod tests {
 
     #[test]
     fn adaptive_width_beats_fixed_fanout_under_a_deep_queue() {
-        use crate::policy::ShardedShortestJobFirst;
         // Interactive traffic near the fixed-width policy's saturation
         // point: a deep queue forms, so pipeline-seconds are the scarce
         // resource. Fixed fan-out keeps co-locating shards and burning
@@ -2643,8 +2594,8 @@ mod tests {
             seed: 0x5EED,
         };
         let requests = spec.requests(500);
-        let fixed = Simulation::new(&fleet).run(&mut ShardedShortestJobFirst::fixed(4), &requests);
-        let adaptive = Simulation::new(&fleet).run(&mut ShardedShortestJobFirst::new(4), &requests);
+        let fixed = Simulation::new(&fleet).run(&mut ShortestJobFirst::fixed(4), &requests);
+        let adaptive = Simulation::new(&fleet).run(&mut ShortestJobFirst::new(4), &requests);
         assert_eq!(fixed.completed, requests.len());
         assert_eq!(adaptive.completed, requests.len());
         let (f99, a99) = (fixed.latency.unwrap().p99, adaptive.latency.unwrap().p99);
@@ -2665,64 +2616,91 @@ mod tests {
         );
     }
 
+    /// Each shard's `(card, pipeline, start, end, jobs)` from a recorded
+    /// run: a shard holds its lane from `ShardStart` until its
+    /// `ShardFinish`, its `Preempted` eviction, or its card's `CardDeath`.
+    /// Asserts that spans on one lane never overlap.
+    fn lane_spans(events: &[TraceEvent]) -> Vec<(usize, usize, f64, f64, usize)> {
+        let mut open = std::collections::BTreeMap::new();
+        let mut spans = Vec::new();
+        for e in events {
+            match *e {
+                TraceEvent::ShardStart {
+                    t,
+                    id,
+                    shard,
+                    card,
+                    pipeline,
+                    jobs,
+                } => {
+                    open.insert((id, shard), (card, pipeline, t, jobs));
+                }
+                TraceEvent::ShardFinish { t, id, shard, .. }
+                | TraceEvent::Preempted {
+                    t,
+                    victim: id,
+                    shard,
+                    ..
+                } => {
+                    let (card, pipeline, start, jobs) = open.remove(&(id, shard)).unwrap();
+                    spans.push((card, pipeline, start, t, jobs));
+                }
+                TraceEvent::CardDeath { t, card: dead, .. } => {
+                    open.retain(|_, &mut (card, pipeline, start, jobs)| {
+                        if card == dead {
+                            spans.push((card, pipeline, start, t, jobs));
+                        }
+                        card != dead
+                    });
+                }
+                _ => {}
+            }
+        }
+        assert!(open.is_empty(), "shards never closed: {open:?}");
+        let mut lanes = spans.clone();
+        lanes.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
+        for w in lanes.windows(2) {
+            if (w[0].0, w[0].1) == (w[1].0, w[1].1) {
+                assert!(w[0].3 <= w[1].2, "overlap on one lane: {w:?}");
+            }
+        }
+        spans
+    }
+
     #[test]
     fn single_shard_policy_matches_whole_request_twin_bitwise() {
-        use crate::policy::{ShardedLeastLoaded, ShardedShortestJobFirst};
-        // max_shards = 1 must reduce exactly to the classic policies —
-        // same schedule, same JSON — apart from the policy name.
+        // max_shards = 1 must reduce exactly to the whole-request
+        // policies — same schedule, same report, same policy name —
+        // whether the one-shard cap is adaptive or fixed.
         let fleet = FleetConfig::standard(3);
         let requests = overload(7, 250);
-        let whole = simulate(&fleet, &mut LeastLoaded, &requests, false);
-        let mut one = Simulation::new(&fleet).run(&mut ShardedLeastLoaded::new(1), &requests);
-        assert_eq!(one.policy, "least-loaded-sharded");
-        one.policy = whole.policy.clone();
-        assert_eq!(one, whole);
-        let sjf = simulate(
-            &fleet,
-            &mut crate::policy::ShortestJobFirst,
-            &requests,
-            false,
-        );
-        let mut one_sjf =
-            Simulation::new(&fleet).run(&mut ShardedShortestJobFirst::new(1), &requests);
-        one_sjf.policy = sjf.policy.clone();
-        assert_eq!(one_sjf, sjf);
+        let whole = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &requests);
+        assert_eq!(whole.policy, "least-loaded");
+        for mut one in [LeastLoaded::new(1), LeastLoaded::fixed(1)] {
+            assert_eq!(Simulation::new(&fleet).run(&mut one, &requests), whole);
+        }
+        let sjf = Simulation::new(&fleet).run(&mut ShortestJobFirst::default(), &requests);
+        assert_eq!(sjf.policy, "shortest-job-first");
+        for mut one in [ShortestJobFirst::new(1), ShortestJobFirst::fixed(1)] {
+            assert_eq!(Simulation::new(&fleet).run(&mut one, &requests), sjf);
+        }
     }
 
     #[test]
     fn sharded_traced_run_places_every_job_once() {
-        use crate::policy::ShardedLeastLoaded;
         let fleet = FleetConfig::standard(2);
         let requests = traffic(23).requests(30);
-        let report = Simulation::new(&fleet)
-            .trace(true)
-            .run(&mut ShardedLeastLoaded::new(3), &requests);
+        let mut sink = RecordingSink::new();
+        let report =
+            Simulation::new(&fleet).run_traced(&mut LeastLoaded::new(3), &requests, &mut sink);
         let expected_jobs: usize = requests.iter().map(|r| r.shape.jobs()).sum();
-        assert_eq!(report.placements.len(), expected_jobs);
+        let spans = lane_spans(&sink.events);
+        assert_eq!(spans.iter().map(|s| s.4).sum::<usize>(), expected_jobs);
         assert!(report.sharded_requests > 0);
-        // Fan-out still never overlaps two jobs on one pipeline lane.
-        let mut lanes: std::collections::BTreeMap<(usize, usize), Vec<(f64, f64)>> =
-            std::collections::BTreeMap::new();
-        for (card, p) in &report.placements {
-            lanes
-                .entry((*card, p.pipeline))
-                .or_default()
-                .push((p.start, p.end));
-        }
-        for ((card, pipe), mut spans) in lanes {
-            spans.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            for w in spans.windows(2) {
-                assert!(
-                    w[0].1 <= w[1].0 + 1e-12,
-                    "overlap on card {card} pipeline {pipe}: {w:?}"
-                );
-            }
-        }
     }
 
     #[test]
     fn sharded_preemption_requeues_only_the_victim_shard() {
-        use crate::policy::ShardedLeastLoaded;
         // Sharded dispatch + aggressive preemption: victims are single
         // shards, so a preempted request's sibling shards keep running
         // and everything still completes exactly once.
@@ -2730,7 +2708,7 @@ mod tests {
         let requests = bursty_lulls(37, 250, 2.5);
         let report = Simulation::new(&fleet)
             .preemption(PreemptionControl::after_wait(0.05))
-            .run(&mut ShardedLeastLoaded::new(4), &requests);
+            .run(&mut LeastLoaded::new(4), &requests);
         assert_eq!(report.completed, requests.len());
         assert!(!report.preemptions.is_empty(), "bursts must trigger it");
         let by_id: std::collections::BTreeMap<u64, &Request> =
@@ -2747,37 +2725,27 @@ mod tests {
     fn traced_run_places_every_job() {
         let fleet = FleetConfig::standard(2);
         let requests = traffic(7).requests(40);
-        let report = simulate(&fleet, &mut LeastLoaded, &requests, true);
+        let mut sink = RecordingSink::new();
+        let report =
+            Simulation::new(&fleet).run_traced(&mut LeastLoaded::default(), &requests, &mut sink);
         let expected_jobs: usize = requests.iter().map(|r| r.shape.jobs()).sum();
-        assert_eq!(report.placements.len(), expected_jobs);
-        // Placements on one (card, pipeline) never overlap.
-        let mut lanes: std::collections::BTreeMap<(usize, usize), Vec<(f64, f64)>> =
-            std::collections::BTreeMap::new();
-        for (card, p) in &report.placements {
-            lanes
-                .entry((*card, p.pipeline))
-                .or_default()
-                .push((p.start, p.end));
-        }
-        for ((card, pipe), mut spans) in lanes {
-            spans.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            for w in spans.windows(2) {
-                assert!(
-                    w[0].1 <= w[1].0 + 1e-12,
-                    "overlap on card {card} pipeline {pipe}: {w:?}"
-                );
-            }
-        }
+        let spans = lane_spans(&sink.events);
+        assert_eq!(spans.len(), requests.len(), "one whole-request shard each");
+        assert_eq!(spans.iter().map(|s| s.4).sum::<usize>(), expected_jobs);
+        assert_eq!(report.completed, requests.len());
     }
 
     #[test]
     fn trace_mode_does_not_change_metrics() {
         let fleet = FleetConfig::standard(2);
         let requests = traffic(9).requests(100);
-        let traced = simulate(&fleet, &mut LeastLoaded, &requests, true);
-        let untraced = simulate(&fleet, &mut LeastLoaded, &requests, false);
-        assert_eq!(traced.latency, untraced.latency);
-        assert_eq!(traced.queue.max_depth, untraced.queue.max_depth);
+        let traced = Simulation::new(&fleet).run_traced(
+            &mut LeastLoaded::default(),
+            &requests,
+            &mut RecordingSink::new(),
+        );
+        let untraced = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &requests);
+        assert_eq!(traced, untraced);
     }
 
     #[test]
@@ -2791,13 +2759,8 @@ mod tests {
             seed: 21,
         };
         let requests = spec.requests(300);
-        let fifo = simulate(&fleet, &mut Fifo, &requests, false);
-        let sjf = simulate(
-            &fleet,
-            &mut crate::policy::ShortestJobFirst,
-            &requests,
-            false,
-        );
+        let fifo = Simulation::new(&fleet).run(&mut Fifo, &requests);
+        let sjf = Simulation::new(&fleet).run(&mut ShortestJobFirst::default(), &requests);
         assert!(
             sjf.latency.unwrap().p50 < fifo.latency.unwrap().p50,
             "SJF p50 {} vs FIFO p50 {}",
@@ -2809,7 +2772,7 @@ mod tests {
     #[test]
     fn heterogeneous_fleet_uses_both_groups() {
         let fleet = FleetConfig::mixed_precision(2, 2);
-        let report = serve(&fleet, &mut LeastLoaded, &traffic(5), 400);
+        let report = serve(&fleet, &mut LeastLoaded::default(), &traffic(5), 400);
         assert_eq!(report.completed, 400);
         assert_eq!(report.groups.len(), 2);
         assert!(
@@ -2826,7 +2789,7 @@ mod tests {
     fn unsorted_requests_rejected() {
         let mut requests = traffic(1).requests(10);
         requests.reverse();
-        let _ = simulate(&FleetConfig::standard(1), &mut Fifo, &requests, false);
+        let _ = Simulation::new(&FleetConfig::standard(1)).run(&mut Fifo, &requests);
     }
 
     #[test]
@@ -2840,7 +2803,7 @@ mod tests {
         // id-based tie-breaking ambiguous.
         let mut requests = traffic(1).requests(10);
         requests[3].id = requests[7].id;
-        let _ = simulate(&FleetConfig::standard(1), &mut Fifo, &requests, false);
+        let _ = Simulation::new(&FleetConfig::standard(1)).run(&mut Fifo, &requests);
     }
 
     #[test]
@@ -2849,10 +2812,10 @@ mod tests {
         // kernel exactly: same report, same JSON bytes, no faults block.
         let fleet = FleetConfig::standard(2);
         let requests = traffic(19).requests(200);
-        let plain = simulate(&fleet, &mut LeastLoaded, &requests, false);
+        let plain = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &requests);
         let gated = Simulation::new(&fleet)
             .faults(crate::fault::FaultPlan::none())
-            .run(&mut LeastLoaded, &requests);
+            .run(&mut LeastLoaded::default(), &requests);
         assert_eq!(plain, gated);
         let json = gated.to_json().pretty();
         assert_eq!(plain.to_json().pretty(), json);
@@ -2871,7 +2834,7 @@ mod tests {
         let run = || {
             Simulation::new(&fleet)
                 .faults(crate::fault::FaultPlan::none().kill(kill_at, 0))
-                .run(&mut LeastLoaded, &requests)
+                .run(&mut LeastLoaded::default(), &requests)
         };
         let report = run();
         assert_eq!(report, run(), "faulted runs stay deterministic");
@@ -2927,7 +2890,7 @@ mod tests {
                     .kill(t0, 0)
                     .revive(mid, 0, 0.5),
             )
-            .run(&mut LeastLoaded, &requests);
+            .run(&mut LeastLoaded::default(), &requests);
         assert_eq!(report.completed, requests.len());
         let faults = report.faults.as_ref().expect("a plan ran");
         assert_eq!(faults.card_deaths, 1);
@@ -2943,7 +2906,7 @@ mod tests {
         let fleet = FleetConfig::standard(1);
         let requests = overload(5, 200);
         let t0 = requests[0].arrival;
-        let healthy = simulate(&fleet, &mut Fifo, &requests, false);
+        let healthy = Simulation::new(&fleet).run(&mut Fifo, &requests);
         // A 3× calibration shift from the first arrival on the only card:
         // the whole schedule stretches.
         let slow = Simulation::new(&fleet)
@@ -2968,7 +2931,6 @@ mod tests {
 
     #[test]
     fn eviction_storms_recycle_flight_slots_without_double_service() {
-        use crate::policy::ShardedLeastLoaded;
         // Repeated kill/revive cycles on both cards while a sharded
         // policy with aggressive preemption churns the FlightTable and
         // ShardArena: every slot is recycled many times over, and the
@@ -2987,7 +2949,7 @@ mod tests {
             Simulation::new(&fleet)
                 .faults(plan.clone())
                 .preemption(PreemptionControl::after_wait(0.05))
-                .run(&mut ShardedLeastLoaded::new(4), &requests)
+                .run(&mut LeastLoaded::new(4), &requests)
         };
         let report = run();
         assert_eq!(report, run(), "storms stay deterministic");
@@ -3022,7 +2984,7 @@ mod tests {
         let report = Simulation::new(&fleet)
             .autoscale(AutoscalerConfig::standard())
             .faults(crate::fault::FaultPlan::none().kill(kill_at, 0))
-            .run(&mut LeastLoaded, &requests);
+            .run(&mut LeastLoaded::default(), &requests);
         assert_eq!(
             report.completed + report.rejected + report.failed,
             requests.len()
@@ -3048,8 +3010,8 @@ mod tests {
         let tagged = spec.requests(60);
         let plain = spec.requests_sessionless(60);
         let fleet = FleetConfig::standard(2);
-        let mut with_sessions = simulate(&fleet, &mut LeastLoaded, &tagged, false);
-        let without = simulate(&fleet, &mut LeastLoaded, &plain, false);
+        let mut with_sessions = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &tagged);
+        let without = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &plain);
         let sessions = with_sessions.sessions.clone().expect("tagged traffic");
         assert_eq!(sessions.sessions, 60);
         assert_eq!(sessions.turns_completed, with_sessions.completed);
@@ -3082,7 +3044,7 @@ mod tests {
         let run = || Simulation::new(&fleet).run(&mut SessionAffinity::new(64), &requests);
         let sticky = run();
         assert_eq!(sticky, run(), "affinity runs stay deterministic");
-        let loose = simulate(&fleet, &mut LeastLoaded, &requests, false);
+        let loose = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &requests);
         assert_eq!(sticky.policy, "session-affinity");
         assert_eq!(sticky.completed, requests.len());
         assert_eq!(loose.completed, requests.len());
@@ -3095,7 +3057,7 @@ mod tests {
         // least-loaded bit for bit (modulo the policy name).
         let plain = spec.requests_sessionless(80);
         let mut reduced = Simulation::new(&fleet).run(&mut SessionAffinity::new(64), &plain);
-        let baseline = simulate(&fleet, &mut LeastLoaded, &plain, false);
+        let baseline = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &plain);
         assert_eq!(reduced.policy, "session-affinity");
         reduced.policy = baseline.policy.clone();
         assert_eq!(reduced, baseline);
@@ -3113,7 +3075,7 @@ mod tests {
         };
         let requests = traffic(19).decode_requests(120, &plans);
         let fleet = FleetConfig::standard(2);
-        let report = Simulation::new(&fleet).run(&mut LeastLoaded, &requests);
+        let report = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &requests);
         assert_eq!(report.completed, 120);
         let decode = report.decode.as_ref().expect("multi-step traffic");
         assert_eq!(decode.decode_requests, 120);
@@ -3152,7 +3114,9 @@ mod tests {
             },
         );
         let fleet = FleetConfig::standard(2);
-        let run = |requests: &[Request]| Simulation::new(&fleet).run(&mut LeastLoaded, requests);
+        let run = |requests: &[Request]| {
+            Simulation::new(&fleet).run(&mut LeastLoaded::default(), requests)
+        };
         let patient = run(&full).decode.expect("multi-step traffic");
         let eager = run(&exiting).decode.expect("multi-step traffic");
         assert_eq!(patient.early_exits, 0);
@@ -3180,7 +3144,7 @@ mod tests {
         let run = |mode: DecodeBatching| {
             Simulation::new(&fleet)
                 .decode_batching(mode)
-                .run(&mut LeastLoaded, &requests)
+                .run(&mut LeastLoaded::default(), &requests)
         };
         let whole = run(DecodeBatching::WholeJob);
         assert_eq!(whole, run(DecodeBatching::WholeJob), "deterministic");

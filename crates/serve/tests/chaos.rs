@@ -17,21 +17,19 @@ use proptest::prelude::*;
 use swat_serve::arrival::ArrivalProcess;
 use swat_serve::fault::FaultPlan;
 use swat_serve::fleet::FleetConfig;
-use swat_serve::policy::{
-    DispatchPolicy, Fifo, LeastLoaded, SessionAffinity, ShardedLeastLoaded, ShortestJobFirst,
-};
+use swat_serve::policy::{DispatchPolicy, Fifo, LeastLoaded, SessionAffinity, ShortestJobFirst};
 use swat_serve::scale::AutoscalerConfig;
 use swat_serve::session::{SessionProfile, SessionTraffic};
-use swat_serve::sim::{simulate, AdmissionControl, PreemptionControl, Simulation, TrafficSpec};
+use swat_serve::sim::{AdmissionControl, PreemptionControl, Simulation, TrafficSpec};
 use swat_serve::ServeReport;
-use swat_workloads::RequestMix;
+use swat_workloads::{RequestClass, RequestMix};
 
 fn policy_by_index(i: usize) -> Box<dyn DispatchPolicy> {
     match i {
         0 => Box::new(Fifo),
-        1 => Box::new(LeastLoaded),
-        2 => Box::new(ShortestJobFirst),
-        3 => Box::new(ShardedLeastLoaded::new(4)),
+        1 => Box::new(LeastLoaded::default()),
+        2 => Box::new(ShortestJobFirst::default()),
+        3 => Box::new(LeastLoaded::new(4)),
         _ => Box::new(SessionAffinity::new(8)),
     }
 }
@@ -72,7 +70,7 @@ fn chaos_run(
     let plan = FaultPlan::storm(seed ^ 0xC4A0_5000, cards, t0 + span, faults);
     let mut sim = Simulation::new(&fleet).faults(plan.clone());
     if let Some(cap) = admission_cap {
-        sim = sim.admission(AdmissionControl::shed_background_at(cap));
+        sim = sim.admission(AdmissionControl::admit_all().with_cap(RequestClass::Background, cap));
     }
     if preempt {
         sim = sim.preemption(PreemptionControl::after_wait(0.05));
@@ -172,7 +170,7 @@ proptest! {
         let fleet = FleetConfig::standard(cards);
         let spec = TrafficSpec { arrivals, mix: RequestMix::Production, seed };
         let requests = spec.requests(60);
-        let plain = simulate(&fleet, &mut *policy_by_index(policy_idx), &requests, false);
+        let plain = Simulation::new(&fleet).run(&mut *policy_by_index(policy_idx), &requests);
         let gated = Simulation::new(&fleet)
             .faults(FaultPlan::none())
             .run(&mut *policy_by_index(policy_idx), &requests);
@@ -206,7 +204,7 @@ proptest! {
                 .faults(plan.clone())
                 .run(policy, &requests)
         };
-        let baseline = run(&mut LeastLoaded);
+        let baseline = run(&mut LeastLoaded::default());
         let mut sticky = run(&mut SessionAffinity::new(8));
         prop_assert_eq!(&sticky.policy, "session-affinity");
         sticky.policy = baseline.policy.clone();
@@ -274,10 +272,10 @@ fn soak_100k_requests_through_a_fault_storm() {
     let run = || {
         Simulation::new(&fleet)
             .faults(plan.clone())
-            .admission(AdmissionControl::shed_background_at(256))
+            .admission(AdmissionControl::admit_all().with_cap(RequestClass::Background, 256))
             .preemption(PreemptionControl::after_wait(0.05))
             .autoscale(AutoscalerConfig::standard())
-            .run(&mut ShardedLeastLoaded::new(4), &requests)
+            .run(&mut LeastLoaded::new(4), &requests)
     };
     let a = run();
     assert_eq!(

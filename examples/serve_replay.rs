@@ -10,7 +10,7 @@
 
 use swat_serve::arrival::ArrivalProcess;
 use swat_serve::fleet::FleetConfig;
-use swat_serve::policy::ShardedLeastLoaded;
+use swat_serve::policy::LeastLoaded;
 use swat_serve::scale::AutoscalerConfig;
 use swat_serve::sim::{AdmissionControl, PreemptionControl, Simulation, TrafficSpec};
 use swat_workloads::{RequestClass, RequestMix};
@@ -48,7 +48,7 @@ fn main() {
         )
         .preemption(PreemptionControl::after_wait(0.25))
         .autoscale(AutoscalerConfig::standard().with_min_cards(2))
-        .run(&mut ShardedLeastLoaded::new(2), &requests);
+        .run(&mut LeastLoaded::new(2), &requests);
 
     // Queue depth over time, bucketed to 2.5 s columns.
     let mut buckets = [0usize; 24];

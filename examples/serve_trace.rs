@@ -19,7 +19,7 @@
 
 use swat_serve::arrival::ArrivalProcess;
 use swat_serve::fleet::FleetConfig;
-use swat_serve::policy::ShardedLeastLoaded;
+use swat_serve::policy::LeastLoaded;
 use swat_serve::scale::AutoscalerConfig;
 use swat_serve::sim::{AdmissionControl, PreemptionControl, Simulation, TrafficSpec};
 use swat_serve::trace::ChromeTraceSink;
@@ -54,7 +54,7 @@ fn main() {
         )
         .preemption(PreemptionControl::after_wait(0.25))
         .autoscale(AutoscalerConfig::standard().with_min_cards(2))
-        .run_traced(&mut ShardedLeastLoaded::new(2), &requests, &mut sink);
+        .run_traced(&mut LeastLoaded::new(2), &requests, &mut sink);
 
     // Every dispatched shard must have closed — the kernel asserts its
     // in-flight table is empty, and the sink mirrors that invariant.

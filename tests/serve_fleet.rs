@@ -4,7 +4,7 @@
 use swat_serve::arrival::ArrivalProcess;
 use swat_serve::fleet::FleetConfig;
 use swat_serve::policy::{all_policies, LeastLoaded};
-use swat_serve::sim::{serve, simulate, AdmissionControl, Simulation, TrafficSpec};
+use swat_serve::sim::{serve, AdmissionControl, Simulation, TrafficSpec};
 use swat_workloads::{RequestClass, RequestMix};
 
 fn spec(seed: u64) -> TrafficSpec {
@@ -44,7 +44,7 @@ fn service_times_come_from_the_calibrated_model() {
     let fleet_cfg = FleetConfig::standard(1);
     let fleet = fleet_cfg.build().unwrap();
     let requests = spec(3).requests(1);
-    let report = simulate(&fleet_cfg, &mut LeastLoaded, &requests, false);
+    let report = Simulation::new(&fleet_cfg).run(&mut LeastLoaded::default(), &requests);
     let shape = requests[0].shape;
     let card = &fleet.cards()[0];
     let expect = card.swap_seconds(&shape)
@@ -68,13 +68,8 @@ fn head_affinity_reduces_weight_swaps() {
         seed: 13,
     };
     let requests = light.requests(800);
-    let fifo = simulate(&fleet, &mut swat_serve::policy::Fifo, &requests, false);
-    let affinity = simulate(
-        &fleet,
-        &mut swat_serve::policy::HeadAffinity,
-        &requests,
-        false,
-    );
+    let fifo = Simulation::new(&fleet).run(&mut swat_serve::policy::Fifo, &requests);
+    let affinity = Simulation::new(&fleet).run(&mut swat_serve::policy::HeadAffinity, &requests);
     // Not a full elimination: more families than cards means some homes
     // are shared (pigeonhole), so a sizeable reduction is the right bar.
     assert!(
@@ -88,18 +83,10 @@ fn head_affinity_reduces_weight_swaps() {
 #[test]
 fn more_cards_reduce_tail_latency() {
     let requests = spec(7).requests(800);
-    let small = simulate(
-        &FleetConfig::standard(2),
-        &mut LeastLoaded,
-        &requests,
-        false,
-    );
-    let large = simulate(
-        &FleetConfig::standard(8),
-        &mut LeastLoaded,
-        &requests,
-        false,
-    );
+    let small =
+        Simulation::new(&FleetConfig::standard(2)).run(&mut LeastLoaded::default(), &requests);
+    let large =
+        Simulation::new(&FleetConfig::standard(8)).run(&mut LeastLoaded::default(), &requests);
     let (large_lat, small_lat) = (large.latency.unwrap(), small.latency.unwrap());
     assert!(
         large_lat.p99 <= small_lat.p99,
@@ -146,10 +133,10 @@ fn admission_control_protects_interactive_tail() {
         seed: 23,
     };
     let requests = heavy.requests(700);
-    let open = simulate(&fleet, &mut LeastLoaded, &requests, false);
+    let open = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &requests);
     let capped = Simulation::new(&fleet)
-        .admission(AdmissionControl::shed_background_at(8))
-        .run(&mut LeastLoaded, &requests);
+        .admission(AdmissionControl::admit_all().with_cap(RequestClass::Background, 8))
+        .run(&mut LeastLoaded::default(), &requests);
     assert!(capped.rejected > 0);
     assert_eq!(
         capped.class(RequestClass::Background).unwrap().rejected,
@@ -176,7 +163,12 @@ fn admission_control_protects_interactive_tail() {
 
 #[test]
 fn json_report_has_the_required_fields() {
-    let report = serve(&FleetConfig::standard(4), &mut LeastLoaded, &spec(9), 200);
+    let report = serve(
+        &FleetConfig::standard(4),
+        &mut LeastLoaded::default(),
+        &spec(9),
+        200,
+    );
     let json = report.to_json().pretty();
     for key in [
         "\"policy\"",
@@ -206,8 +198,8 @@ fn replay_is_reproducible_across_entry_points() {
     // `serve` convenience wrapper, bit for bit.
     let fleet = FleetConfig::standard(3);
     let requests = spec(11).requests(300);
-    let manual = simulate(&fleet, &mut LeastLoaded, &requests, false);
-    let wrapped = serve(&fleet, &mut LeastLoaded, &spec(11), 300);
+    let manual = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &requests);
+    let wrapped = serve(&fleet, &mut LeastLoaded::default(), &spec(11), 300);
     assert_eq!(manual.latency, wrapped.latency);
     assert_eq!(manual.queue.max_depth, wrapped.queue.max_depth);
     assert_eq!(manual.energy_joules, wrapped.energy_joules);
