@@ -124,12 +124,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a byte-offset-annotated message on malformed input or
-    /// trailing garbage.
+    /// Returns a byte-offset-annotated message on malformed input,
+    /// trailing garbage, or arrays and objects nested more than 128
+    /// levels deep (the parser recurses once per level, so the cap is
+    /// what keeps a hostile document from overflowing the stack).
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -153,8 +155,19 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. Every artifact
+/// this crate writes nests under 10 levels.
+const MAX_PARSE_DEPTH: usize = 128;
+
+/// Parses one value nested inside `depth` arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_PARSE_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_PARSE_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_lit(bytes, pos, b"null", Json::Null),
@@ -170,7 +183,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -195,7 +208,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                pairs.push((key, parse_value(bytes, pos)?));
+                pairs.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -424,6 +437,18 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+        // Hostile nesting is an error, not a stack overflow.
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(30_000);
+            assert!(
+                Json::parse(&deep).is_err(),
+                "{open:?} x 30000 should not parse"
+            );
+        }
+        // The cap sits exactly at MAX_PARSE_DEPTH levels.
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Json::parse(&nested(MAX_PARSE_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_PARSE_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -63,10 +63,12 @@
 //! warm-up, scaling, gauge samples) — [`trace::ChromeTraceSink`] renders
 //! a run as a Chrome/Perfetto trace, [`trace::RecordingSink`] captures
 //! the raw stream for tests, and the disabled default ([`trace::NullSink`])
-//! leaves every report byte-identical. For very long traces,
-//! [`trace::TelemetryMode::Streaming`] swaps the exact per-request
-//! latency vectors for fixed-memory P² quantile sketches and a bounded
-//! time-bucketed gauge histogram.
+//! leaves every report byte-identical. The report is folded as requests
+//! finish — one accumulator, no per-request record and no end-of-run
+//! sort. For very long traces, [`trace::TelemetryMode::Streaming`] holds
+//! its latency distributions in fixed-memory P² quantile sketches
+//! instead of exact sample vectors and adds a bounded time-bucketed
+//! gauge histogram.
 //!
 //! The fleet is also **mortal**: a seeded [`fault::FaultPlan`] injects
 //! card deaths (in-flight shards evicted and requeued as checkpointed

@@ -5,6 +5,7 @@
 use crate::json::Json;
 use crate::request::{CompletedRequest, Request};
 use crate::scale::ScaleEvent;
+use crate::trace::{GaugeSample, StreamingSummary, TelemetryMode, TimeBuckets};
 use swat_workloads::RequestClass;
 
 /// Preemption-log entries serialized to JSON; the in-memory report keeps
@@ -42,16 +43,18 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    fn from_latencies(mut latencies: Vec<f64>) -> LatencySummary {
+    /// Sorts the samples once and summarizes them (`None` when empty).
+    fn from_latencies(mut latencies: Vec<f64>) -> Option<LatencySummary> {
         latencies.sort_by(f64::total_cmp);
+        let max = *latencies.last()?;
         let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
-        LatencySummary {
+        Some(LatencySummary {
             p50: percentile(&latencies, 0.50),
             p95: percentile(&latencies, 0.95),
             p99: percentile(&latencies, 0.99),
             mean,
-            max: *latencies.last().expect("non-empty"),
-        }
+            max,
+        })
     }
 
     fn to_json(self) -> Json {
@@ -106,7 +109,7 @@ impl QueueSummary {
 }
 
 /// One row of the streaming telemetry histogram: gauge statistics over a
-/// fixed time bucket (see [`TimeBuckets`](crate::trace::TimeBuckets)).
+/// fixed time bucket (see [`TimeBuckets`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryBucket {
     /// Bucket start, seconds (buckets are contiguous).
@@ -153,7 +156,7 @@ impl TelemetryBucket {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySummary {
     /// Bucket width, seconds (doubles as long runs coarsen; see
-    /// [`TimeBuckets`](crate::trace::TimeBuckets)).
+    /// [`TimeBuckets`]).
     pub bucket_seconds: f64,
     /// The bounded gauge histogram, in time order.
     pub buckets: Vec<TelemetryBucket>,
@@ -294,18 +297,6 @@ impl FaultSummary {
     }
 }
 
-/// Finds (or inserts) the per-session accumulator row for a session id,
-/// keeping the vector sorted by id so the fold is deterministic.
-fn session_slot(per: &mut Vec<(u64, usize, f64)>, session: u64) -> usize {
-    match per.binary_search_by_key(&session, |e| e.0) {
-        Ok(i) => i,
-        Err(i) => {
-            per.insert(i, (session, 0, 0.0));
-            i
-        }
-    }
-}
-
 /// Per-conversation accounting, attached to a report only when the
 /// traffic carried session ids (some request with `session != 0`) —
 /// sessionless runs omit the block so their JSON stays byte-identical to
@@ -332,51 +323,6 @@ pub struct SessionSummary {
 }
 
 impl SessionSummary {
-    /// Folds session-tagged requests into per-conversation statistics.
-    /// Returns `None` when nothing carried a session id, which is what
-    /// keeps sessionless reports untouched.
-    pub fn from_requests(
-        completed: &[CompletedRequest],
-        rejected: &[Request],
-        failed: &[Request],
-    ) -> Option<SessionSummary> {
-        // (session id, completed turns, summed latency), sorted by id.
-        let mut per: Vec<(u64, usize, f64)> = Vec::new();
-        for c in completed.iter().filter(|c| c.request.session != 0) {
-            let i = session_slot(&mut per, c.request.session);
-            per[i].1 += 1;
-            per[i].2 += c.latency();
-        }
-        // Sessions whose every turn was shed or stranded still count as
-        // sessions (with zero completed turns) — fairness must see them.
-        for r in rejected.iter().chain(failed).filter(|r| r.session != 0) {
-            session_slot(&mut per, r.session);
-        }
-        if per.is_empty() {
-            return None;
-        }
-        let turns_completed: usize = per.iter().map(|e| e.1).sum();
-        let n = per.len() as f64;
-        let sum: f64 = per.iter().map(|e| e.1 as f64).sum();
-        let sumsq: f64 = per.iter().map(|e| (e.1 as f64) * (e.1 as f64)).sum();
-        let means: Vec<f64> = per
-            .iter()
-            .filter(|e| e.1 > 0)
-            .map(|e| e.2 / e.1 as f64)
-            .collect();
-        Some(SessionSummary {
-            sessions: per.len(),
-            turns_completed,
-            mean_turns: turns_completed as f64 / n,
-            latency: (!means.is_empty()).then(|| LatencySummary::from_latencies(means)),
-            fairness: if sumsq > 0.0 {
-                sum * sum / (n * sumsq)
-            } else {
-                1.0
-            },
-        })
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("sessions", Json::Int(self.sessions as i64)),
@@ -394,8 +340,8 @@ impl SessionSummary {
 /// Token-level decode accounting, attached to a report only when some
 /// completion carried a multi-step decode plan — one-shot runs omit the
 /// block entirely so their JSON stays byte-identical to pre-decode
-/// releases. Exact-telemetry runs only (the streaming path keeps bounded
-/// state and cannot hold per-request step samples).
+/// releases. Under streaming telemetry the counts are exact and the three
+/// latency distributions are P² estimates, like every other percentile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodeSummary {
     /// Completions that carried a multi-step decode plan.
@@ -425,60 +371,6 @@ pub struct DecodeSummary {
 }
 
 impl DecodeSummary {
-    /// Folds completions into decode statistics. Returns `None` when
-    /// every completion was one-shot, which is what keeps pre-decode
-    /// reports untouched.
-    pub fn from_completions(completed: &[CompletedRequest]) -> Option<DecodeSummary> {
-        if completed.iter().all(|c| c.request.decode.is_one_shot()) {
-            return None;
-        }
-        let steps_completed: u64 = completed
-            .iter()
-            .map(|c| u64::from(c.request.steps_done))
-            .sum();
-        let max_steps = completed
-            .iter()
-            .map(|c| c.request.steps_done as usize)
-            .max()
-            .unwrap_or(0);
-        let mut steps_histogram = vec![0usize; max_steps];
-        for c in completed {
-            steps_histogram[c.request.steps_done as usize - 1] += 1;
-        }
-        let decode: Vec<&CompletedRequest> = completed
-            .iter()
-            .filter(|c| !c.request.decode.is_one_shot())
-            .collect();
-        let early_exits = decode.iter().filter(|c| c.early_exit()).count();
-        let intervals: Vec<f64> = decode
-            .iter()
-            .filter(|c| c.request.steps_done >= 2)
-            .map(|c| (c.finished - c.first_step_finished) / f64::from(c.request.steps_done - 1))
-            .collect();
-        Some(DecodeSummary {
-            decode_requests: decode.len(),
-            steps_completed,
-            mean_steps: steps_completed as f64 / completed.len() as f64,
-            steps_histogram,
-            early_exits,
-            early_exit_rate: if decode.is_empty() {
-                0.0
-            } else {
-                early_exits as f64 / decode.len() as f64
-            },
-            ttft: (!completed.is_empty()).then(|| {
-                LatencySummary::from_latencies(
-                    completed.iter().map(CompletedRequest::ttft).collect(),
-                )
-            }),
-            step_interval: (!intervals.is_empty())
-                .then(|| LatencySummary::from_latencies(intervals)),
-            total_latency: (!decode.is_empty()).then(|| {
-                LatencySummary::from_latencies(decode.iter().map(|c| c.latency()).collect())
-            }),
-        })
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("decode_requests", Json::Int(self.decode_requests as i64)),
@@ -723,128 +615,18 @@ pub struct ServeReport {
     /// non-empty fault plan.
     pub faults: Option<FaultSummary>,
     /// Per-session accounting, `Some` exactly when the traffic carried
-    /// session ids. Exact-telemetry runs only — the streaming path keeps
-    /// bounded state and cannot group per conversation.
+    /// session ids. Exact-telemetry runs only — each session's mean sums
+    /// its turns in request-id order, which needs every session-tagged
+    /// turn held until the run ends, and streaming telemetry holds no
+    /// per-request state.
     pub sessions: Option<SessionSummary>,
     /// Token-level decode accounting, `Some` exactly when some
-    /// completion carried a multi-step decode plan. Exact-telemetry runs
-    /// only, like `sessions`.
+    /// completion carried a multi-step decode plan, in either telemetry
+    /// mode.
     pub decode: Option<DecodeSummary>,
 }
 
 impl ServeReport {
-    /// Assembles the report from raw simulation outputs. `rejected` holds
-    /// the requests admission control shed (empty when the knob is off);
-    /// `failed` holds requests stranded when every card died (empty on
-    /// any run the fleet survived). Both count toward `offered` — and
-    /// toward each class's offered tally — so attainment cannot be
-    /// flattered by losing traffic. A run with zero completions — every
-    /// request shed — produces a fully finite report: zero makespan and
-    /// throughput, `None` latency. The session block is derived here
-    /// (`Some` only when some request carried a session id).
-    // One argument per raw simulation output: bundling them into a
-    // struct would just move the same names one level down.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble(
-        policy: &str,
-        arrivals: &str,
-        completed: &[CompletedRequest],
-        rejected: &[Request],
-        failed: &[Request],
-        queue: QueueSummary,
-        cards: Vec<CardSummary>,
-        preemptions: Vec<PreemptionRecord>,
-        scaling: Vec<ScaleEvent>,
-        cost_prediction: Option<CostPrediction>,
-        faults: Option<FaultSummary>,
-    ) -> ServeReport {
-        let latencies: Vec<f64> = completed.iter().map(CompletedRequest::latency).collect();
-        let first_arrival = completed
-            .iter()
-            .map(|c| c.request.arrival)
-            .fold(f64::INFINITY, f64::min);
-        let last_finish = completed.iter().map(|c| c.finished).fold(0.0, f64::max);
-        let makespan = if completed.is_empty() {
-            0.0
-        } else {
-            last_finish - first_arrival
-        };
-        let energy: f64 = cards.iter().map(|c| c.energy_joules).sum();
-        let idle_energy: f64 = cards.iter().map(|c| c.idle_energy_joules).sum();
-
-        let classes = RequestClass::ALL
-            .iter()
-            .filter_map(|&class| {
-                let done: Vec<&CompletedRequest> = completed
-                    .iter()
-                    .filter(|c| c.request.class == class)
-                    .collect();
-                let shed = rejected.iter().filter(|r| r.class == class).count();
-                let lost = failed.iter().filter(|r| r.class == class).count();
-                if done.is_empty() && shed == 0 && lost == 0 {
-                    return None;
-                }
-                Some(ClassSummary {
-                    class,
-                    offered: done.len() + shed + lost,
-                    completed: done.len(),
-                    rejected: shed,
-                    slo_violations: done.iter().filter(|c| !c.met_slo()).count(),
-                    latency: if done.is_empty() {
-                        None
-                    } else {
-                        Some(LatencySummary::from_latencies(
-                            done.iter().map(|c| c.latency()).collect(),
-                        ))
-                    },
-                })
-            })
-            .collect();
-
-        let groups = GroupSummary::from_cards(&cards);
-        let max_shards = completed
-            .iter()
-            .map(|c| c.shards as usize)
-            .max()
-            .unwrap_or(0);
-        let mut shard_widths = vec![0usize; max_shards];
-        for c in completed {
-            shard_widths[c.shards as usize - 1] += 1;
-        }
-        ServeReport {
-            policy: policy.to_string(),
-            arrivals: arrivals.to_string(),
-            offered: completed.len() + rejected.len() + failed.len(),
-            completed: completed.len(),
-            rejected: rejected.len(),
-            sharded_requests: completed.iter().filter(|c| c.shards > 1).count(),
-            max_shards,
-            shard_widths,
-            makespan,
-            throughput_rps: if makespan > 0.0 {
-                completed.len() as f64 / makespan
-            } else {
-                0.0
-            },
-            latency: (!latencies.is_empty()).then(|| LatencySummary::from_latencies(latencies)),
-            classes,
-            queue,
-            cards,
-            groups,
-            energy_joules: energy,
-            idle_energy_joules: idle_energy,
-            slo_violations: completed.iter().filter(|c| !c.met_slo()).count(),
-            preemptions,
-            scaling,
-            cost_prediction,
-            telemetry: None,
-            failed: failed.len(),
-            faults,
-            sessions: SessionSummary::from_requests(completed, rejected, failed),
-            decode: DecodeSummary::from_completions(completed),
-        }
-    }
-
     /// Mean utilization across cards (0 for a cardless report).
     pub fn fleet_utilization(&self) -> f64 {
         if self.cards.is_empty() {
@@ -1003,11 +785,342 @@ impl ServeReport {
     }
 }
 
+/// One latency distribution, held the way the run's [`TelemetryMode`]
+/// asks: every sample, sorted once when the report is built (exact
+/// nearest-rank percentiles, and a mean summed in sorted order, so the
+/// bytes do not depend on the order samples arrived in), or a
+/// fixed-memory P² sketch.
+#[derive(Debug, Clone)]
+enum LatencyStore {
+    Exact(Vec<f64>),
+    Streaming(Box<StreamingSummary>),
+}
+
+impl LatencyStore {
+    fn new(mode: TelemetryMode) -> LatencyStore {
+        match mode {
+            TelemetryMode::Exact => LatencyStore::Exact(Vec::new()),
+            TelemetryMode::Streaming => LatencyStore::Streaming(Box::default()),
+        }
+    }
+
+    fn observe(&mut self, x: f64) {
+        match self {
+            LatencyStore::Exact(samples) => samples.push(x),
+            LatencyStore::Streaming(sketch) => sketch.observe(x),
+        }
+    }
+
+    /// `None` when nothing was observed.
+    fn summary(self) -> Option<LatencySummary> {
+        match self {
+            LatencyStore::Exact(samples) => LatencySummary::from_latencies(samples),
+            LatencyStore::Streaming(sketch) => sketch.summary(),
+        }
+    }
+}
+
+/// Counts one observation of `value` (≥ 1) in a histogram indexed by
+/// `value - 1`, growing it as needed.
+fn count(histogram: &mut Vec<usize>, value: usize) {
+    if histogram.len() < value {
+        histogram.resize(value, 0);
+    }
+    histogram[value - 1] += 1;
+}
+
+/// Folds the session turn log — `(session, id, latency)` per
+/// session-tagged request, `None` latency for a shed or stranded one —
+/// into per-conversation statistics. `None` when nothing carried a
+/// session id, which is what keeps sessionless reports untouched.
+fn session_summary(mut turns: Vec<(u64, u64, Option<f64>)>) -> Option<SessionSummary> {
+    // Each session sums its turns' latencies in request-id order: float
+    // sums depend on order, and turns of one session can fan in out of id
+    // order.
+    turns.sort_unstable_by_key(|&(session, id, _)| (session, id));
+    // (completed turns, summed latency) per session, in session-id order.
+    // A session whose every turn went unserved still counts (with zero
+    // turns) — fairness must see it.
+    let per: Vec<(usize, f64)> = turns
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|session| {
+            session
+                .iter()
+                .filter_map(|t| t.2)
+                .fold((0, 0.0), |(n, sum), latency| (n + 1, sum + latency))
+        })
+        .collect();
+    if per.is_empty() {
+        return None;
+    }
+    let turns_completed: usize = per.iter().map(|e| e.0).sum();
+    let n = per.len() as f64;
+    let sum: f64 = per.iter().map(|e| e.0 as f64).sum();
+    let sumsq: f64 = per.iter().map(|e| (e.0 as f64) * (e.0 as f64)).sum();
+    let means: Vec<f64> = per
+        .iter()
+        .filter(|e| e.0 > 0)
+        .map(|e| e.1 / e.0 as f64)
+        .collect();
+    Some(SessionSummary {
+        sessions: per.len(),
+        turns_completed,
+        mean_turns: turns_completed as f64 / n,
+        latency: LatencySummary::from_latencies(means),
+        fairness: if sumsq > 0.0 {
+            sum * sum / (n * sumsq)
+        } else {
+            1.0
+        },
+    })
+}
+
+/// The report accumulator. The kernel feeds it each request's outcome as
+/// it happens — a fan-in, an admission shed, a request stranded by a dead
+/// fleet — and [`ReportAccum::into_report`] builds the [`ServeReport`]
+/// after the last event. Counts and the shard-width and step histograms
+/// are the same in both telemetry modes; only the latency stores differ.
+/// No per-request record is kept and nothing is sorted by id:
+/// every exact statistic except the session block is independent of
+/// completion order, and that block sorts only its own turns.
+#[derive(Debug, Clone)]
+pub(crate) struct ReportAccum {
+    policy: String,
+    arrivals: String,
+    latency: LatencyStore,
+    /// Per-class tallies, each row's `latency` left `None` until
+    /// `into_report` fills it from the paired store.
+    classes: [(ClassSummary, LatencyStore); RequestClass::ALL.len()],
+    /// Earliest arrival among completions (`∞` until one completes).
+    first_arrival: f64,
+    /// Latest fan-in (`-∞` until one completes).
+    last_finish: f64,
+    /// `shard_widths[w - 1]` completions at peak width `w`.
+    shard_widths: Vec<usize>,
+    /// `steps_histogram[s - 1]` completions ran exactly `s` steps.
+    steps_histogram: Vec<usize>,
+    /// Completions that carried a multi-step plan, and those of them
+    /// that exited early.
+    decode_requests: usize,
+    early_exits: usize,
+    ttft: LatencyStore,
+    step_interval: LatencyStore,
+    /// Arrival to final fan-in, multi-step plans only.
+    decode_latency: LatencyStore,
+    /// The session turn log (see [`session_summary`]); `None` under
+    /// streaming telemetry (see [`ServeReport::sessions`]).
+    sessions: Option<Vec<(u64, u64, Option<f64>)>>,
+    /// The gauge histogram, `Some` exactly under streaming telemetry.
+    buckets: Option<TimeBuckets>,
+}
+
+impl ReportAccum {
+    /// An empty accumulator for a run of `policy` over traffic labelled
+    /// `arrivals`.
+    pub(crate) fn new(mode: TelemetryMode, policy: &str, arrivals: &str) -> ReportAccum {
+        let streaming = mode == TelemetryMode::Streaming;
+        let class = |class| ClassSummary {
+            class,
+            offered: 0,
+            completed: 0,
+            rejected: 0,
+            slo_violations: 0,
+            latency: None,
+        };
+        ReportAccum {
+            policy: policy.to_string(),
+            arrivals: arrivals.to_string(),
+            latency: LatencyStore::new(mode),
+            classes: RequestClass::ALL.map(|c| (class(c), LatencyStore::new(mode))),
+            first_arrival: f64::INFINITY,
+            last_finish: f64::NEG_INFINITY,
+            shard_widths: Vec::new(),
+            steps_histogram: Vec::new(),
+            decode_requests: 0,
+            early_exits: 0,
+            ttft: LatencyStore::new(mode),
+            step_interval: LatencyStore::new(mode),
+            decode_latency: LatencyStore::new(mode),
+            sessions: (!streaming).then(Vec::new),
+            buckets: streaming.then(TimeBuckets::new),
+        }
+    }
+
+    /// Folds in one completion (its final fan-in).
+    pub(crate) fn complete(&mut self, c: &CompletedRequest) {
+        let latency = c.latency();
+        self.latency.observe(latency);
+        let (class, store) = &mut self.classes[c.request.class.rank() as usize];
+        class.offered += 1;
+        class.completed += 1;
+        store.observe(latency);
+        if !c.met_slo() {
+            class.slo_violations += 1;
+        }
+        count(&mut self.shard_widths, c.shards as usize);
+        self.first_arrival = self.first_arrival.min(c.request.arrival);
+        self.last_finish = self.last_finish.max(c.finished);
+        let steps = c.request.steps_done;
+        count(&mut self.steps_histogram, steps as usize);
+        self.ttft.observe(c.ttft());
+        if !c.request.decode.is_one_shot() {
+            self.decode_requests += 1;
+            if c.early_exit() {
+                self.early_exits += 1;
+            }
+            if steps >= 2 {
+                self.step_interval
+                    .observe((c.finished - c.first_step_finished) / f64::from(steps - 1));
+            }
+            self.decode_latency.observe(latency);
+        }
+        self.session_turn(&c.request, Some(latency));
+    }
+
+    /// Counts a request admission control shed at arrival.
+    pub(crate) fn reject(&mut self, r: &Request) {
+        let class = &mut self.classes[r.class.rank() as usize].0;
+        class.offered += 1;
+        class.rejected += 1;
+        self.session_turn(r, None);
+    }
+
+    /// Counts a request stranded because every card died: offered, never
+    /// served.
+    pub(crate) fn fail(&mut self, r: &Request) {
+        self.classes[r.class.rank() as usize].0.offered += 1;
+        self.session_turn(r, None);
+    }
+
+    fn session_turn(&mut self, r: &Request, latency: Option<f64>) {
+        if r.session != 0 {
+            if let Some(turns) = &mut self.sessions {
+                turns.push((r.session, r.id, latency));
+            }
+        }
+    }
+
+    /// Folds one gauge sample into the streaming histogram (a no-op under
+    /// exact telemetry, whose reports carry none).
+    pub(crate) fn gauges(&mut self, now: f64, sample: &GaugeSample) {
+        if let Some(buckets) = &mut self.buckets {
+            buckets.record(now, sample);
+        }
+    }
+
+    /// Requests accounted so far: completed, shed, or stranded.
+    pub(crate) fn offered(&self) -> usize {
+        self.classes.iter().map(|(c, _)| c.offered).sum()
+    }
+
+    /// Requests stranded so far.
+    pub(crate) fn failed(&self) -> usize {
+        self.classes
+            .iter()
+            .map(|(c, _)| c.offered - c.completed - c.rejected)
+            .sum()
+    }
+
+    /// Seconds from `t0` (the trace's first arrival) to the last
+    /// completion; 0 when nothing completed, e.g. a fully-shed trace.
+    pub(crate) fn span(&self, t0: f64) -> f64 {
+        t0.max(self.last_finish) - t0
+    }
+
+    /// Builds the report from the folds and the run-level sections the
+    /// kernel tracks itself. Shed and stranded requests count toward
+    /// `offered` — and toward their class's offered tally — so attainment
+    /// cannot be flattered by losing traffic. A run with zero completions
+    /// produces a fully finite report: zero makespan and throughput,
+    /// `None` latency.
+    pub(crate) fn into_report(
+        self,
+        queue: QueueSummary,
+        cards: Vec<CardSummary>,
+        preemptions: Vec<PreemptionRecord>,
+        scaling: Vec<ScaleEvent>,
+        cost_prediction: Option<CostPrediction>,
+        faults: Option<FaultSummary>,
+    ) -> ServeReport {
+        let offered = self.offered();
+        let failed = self.failed();
+        let completed: usize = self.classes.iter().map(|(c, _)| c.completed).sum();
+        let rejected: usize = self.classes.iter().map(|(c, _)| c.rejected).sum();
+        let slo_violations = self.classes.iter().map(|(c, _)| c.slo_violations).sum();
+        let makespan = if completed == 0 {
+            0.0
+        } else {
+            self.last_finish - self.first_arrival
+        };
+        let classes = self
+            .classes
+            .into_iter()
+            .filter(|(c, _)| c.offered > 0)
+            .map(|(c, store)| ClassSummary {
+                latency: store.summary(),
+                ..c
+            })
+            .collect();
+        ServeReport {
+            policy: self.policy,
+            arrivals: self.arrivals,
+            offered,
+            completed,
+            rejected,
+            sharded_requests: self.shard_widths.iter().skip(1).sum(),
+            max_shards: self.shard_widths.len(),
+            shard_widths: self.shard_widths,
+            makespan,
+            throughput_rps: if makespan > 0.0 {
+                completed as f64 / makespan
+            } else {
+                0.0
+            },
+            latency: self.latency.summary(),
+            classes,
+            queue,
+            energy_joules: cards.iter().map(|c| c.energy_joules).sum(),
+            idle_energy_joules: cards.iter().map(|c| c.idle_energy_joules).sum(),
+            groups: GroupSummary::from_cards(&cards),
+            cards,
+            slo_violations,
+            preemptions,
+            scaling,
+            cost_prediction,
+            telemetry: self.buckets.map(|b| TelemetrySummary {
+                bucket_seconds: b.width_seconds(),
+                buckets: b.rows(),
+            }),
+            failed,
+            faults,
+            sessions: self.sessions.and_then(session_summary),
+            // Absent when every completion was one-shot, which is what
+            // keeps pre-decode reports untouched.
+            decode: (self.decode_requests > 0).then(|| {
+                let steps_completed = (1..)
+                    .zip(&self.steps_histogram)
+                    .map(|(s, &n)| s * n as u64)
+                    .sum();
+                DecodeSummary {
+                    decode_requests: self.decode_requests,
+                    steps_completed,
+                    mean_steps: steps_completed as f64 / completed as f64,
+                    steps_histogram: self.steps_histogram,
+                    early_exits: self.early_exits,
+                    early_exit_rate: self.early_exits as f64 / self.decode_requests as f64,
+                    ttft: self.ttft.summary(),
+                    step_interval: self.step_interval.summary(),
+                    total_latency: self.decode_latency.summary(),
+                }
+            }),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::Request;
-    use swat_workloads::RequestShape;
+    use swat_workloads::{DecodePlan, RequestShape};
 
     #[test]
     fn percentile_nearest_rank() {
@@ -1024,7 +1137,7 @@ mod tests {
     #[test]
     fn percentiles_are_monotone() {
         let xs = [0.1, 0.2, 0.2, 0.9, 5.0];
-        let s = LatencySummary::from_latencies(xs.to_vec());
+        let s = LatencySummary::from_latencies(xs.to_vec()).unwrap();
         assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
     }
 
@@ -1037,9 +1150,13 @@ mod tests {
         }
     }
 
+    /// A one-shot completion: every completion ran at least its one step.
     fn completed(id: u64, arrival: f64, finished: f64) -> CompletedRequest {
         CompletedRequest {
-            request: Request::new(id, arrival, shape()),
+            request: Request {
+                steps_done: 1,
+                ..Request::new(id, arrival, shape())
+            },
             dispatched: arrival,
             finished,
             first_step_finished: finished,
@@ -1063,6 +1180,44 @@ mod tests {
         }
     }
 
+    fn quiet_queue() -> QueueSummary {
+        QueueSummary {
+            max_depth: 0,
+            mean_depth: 0.0,
+            timeline: Vec::new(),
+            total_samples: 0,
+        }
+    }
+
+    /// Feeds an exact-mode accumulator as the kernel does: completions,
+    /// then sheds, then requests stranded by a dead fleet.
+    fn fold(runs: &[CompletedRequest], shed: &[Request], lost: &[Request]) -> ReportAccum {
+        let mut accum = ReportAccum::new(TelemetryMode::Exact, "fifo", "poisson");
+        for c in runs {
+            accum.complete(c);
+        }
+        for r in shed {
+            accum.reject(r);
+        }
+        for r in lost {
+            accum.fail(r);
+        }
+        accum
+    }
+
+    /// [`fold`]'s report on one card, with an empty queue and no
+    /// preemptions, scaling, fan-out audit or faults.
+    fn report_of(runs: &[CompletedRequest], shed: &[Request], lost: &[Request]) -> ServeReport {
+        fold(runs, shed, lost).into_report(
+            quiet_queue(),
+            vec![card_summary(0, 0)],
+            Vec::new(),
+            Vec::new(),
+            None,
+            None,
+        )
+    }
+
     #[test]
     fn report_assembles_consistently() {
         let runs = [
@@ -1070,17 +1225,11 @@ mod tests {
             completed(1, 0.5, 1.0),
             completed(2, 1.0, 3.0),
         ];
-        let report = ServeReport::assemble(
-            "fifo",
-            "poisson",
-            &runs,
-            &[],
-            &[],
+        let report = fold(&runs, &[], &[]).into_report(
             QueueSummary {
                 max_depth: 2,
                 mean_depth: 0.5,
-                timeline: Vec::new(),
-                total_samples: 0,
+                ..quiet_queue()
             },
             vec![card_summary(0, 0)],
             Vec::new(),
@@ -1117,19 +1266,8 @@ mod tests {
 
     #[test]
     fn elastic_timelines_serialize() {
-        let runs = [completed(0, 0.0, 0.1)];
-        let report = ServeReport::assemble(
-            "fifo",
-            "poisson",
-            &runs,
-            &[],
-            &[],
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
+        let report = fold(&[completed(0, 0.0, 0.1)], &[], &[]).into_report(
+            quiet_queue(),
             vec![card_summary(0, 0)],
             vec![PreemptionRecord {
                 time: 0.05,
@@ -1160,24 +1298,7 @@ mod tests {
     fn rejections_split_offered_from_completed() {
         let runs = [completed(0, 0.0, 0.1)];
         let shed = [Request::classed(1, 0.0, shape(), RequestClass::Background)];
-        let report = ServeReport::assemble(
-            "fifo",
-            "poisson",
-            &runs,
-            &shed,
-            &[],
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
-            vec![card_summary(0, 0)],
-            Vec::new(),
-            Vec::new(),
-            None,
-            None,
-        );
+        let report = report_of(&runs, &shed, &[]);
         assert_eq!(report.offered, 2);
         assert_eq!(report.completed, 1);
         assert_eq!(report.rejected, 1);
@@ -1197,24 +1318,9 @@ mod tests {
             Request::classed(0, 0.0, shape(), RequestClass::Background),
             Request::classed(1, 0.5, shape(), RequestClass::Background),
         ];
-        let report = ServeReport::assemble(
-            "fifo",
-            "poisson",
-            &[],
-            &shed,
-            &[],
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
-            vec![card_summary(0, 0)],
-            Vec::new(),
-            Vec::new(),
-            None,
-            None,
-        );
+        let accum = fold(&[], &shed, &[]);
+        assert_eq!(accum.span(0.0), 0.0, "nothing completed: zero span");
+        let report = report_of(&[], &shed, &[]);
         assert_eq!(
             (report.offered, report.completed, report.rejected),
             (2, 0, 2)
@@ -1229,24 +1335,7 @@ mod tests {
         assert!(json.contains("\"latency\": null"));
         assert!(!json.contains("NaN") && !json.contains("inf"));
         // The vacuous case: nothing offered at all → attainment 1.
-        let vacuous = ServeReport::assemble(
-            "fifo",
-            "poisson",
-            &[],
-            &[],
-            &[],
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
-            vec![card_summary(0, 0)],
-            Vec::new(),
-            Vec::new(),
-            None,
-            None,
-        );
+        let vacuous = report_of(&[], &[], &[]);
         assert_eq!(vacuous.slo_attainment(), 1.0);
     }
 
@@ -1258,24 +1347,7 @@ mod tests {
         let shed: Vec<Request> = (1..10)
             .map(|id| Request::classed(id, 0.0, shape(), RequestClass::Background))
             .collect();
-        let report = ServeReport::assemble(
-            "fifo",
-            "poisson",
-            &runs,
-            &shed,
-            &[],
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
-            vec![card_summary(0, 0)],
-            Vec::new(),
-            Vec::new(),
-            None,
-            None,
-        );
+        let report = report_of(&runs, &shed, &[]);
         assert_eq!(report.slo_violations, 0, "the one completion was on time");
         assert!((report.slo_attainment() - 0.1).abs() < 1e-12);
     }
@@ -1284,25 +1356,7 @@ mod tests {
     fn shard_counts_summarize_fanout() {
         let mut wide = completed(1, 0.0, 0.2);
         wide.shards = 3;
-        let runs = [completed(0, 0.0, 0.1), wide];
-        let report = ServeReport::assemble(
-            "least-loaded-sharded",
-            "poisson",
-            &runs,
-            &[],
-            &[],
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
-            vec![card_summary(0, 0)],
-            Vec::new(),
-            Vec::new(),
-            None,
-            None,
-        );
+        let report = report_of(&[completed(0, 0.0, 0.1), wide], &[], &[]);
         assert_eq!(report.sharded_requests, 1);
         assert_eq!(report.max_shards, 3);
         let json = report.to_json().pretty();
@@ -1314,24 +1368,7 @@ mod tests {
     fn fanout_diagnostics_serialize_only_when_the_run_fanned_out() {
         // A whole-request run must serialize byte-for-byte as before the
         // cost model existed: no `shard_widths`, no `cost_prediction`.
-        let narrow = ServeReport::assemble(
-            "fifo",
-            "poisson",
-            &[completed(0, 0.0, 0.1)],
-            &[],
-            &[],
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
-            vec![card_summary(0, 0)],
-            Vec::new(),
-            Vec::new(),
-            None,
-            None,
-        );
+        let narrow = report_of(&[completed(0, 0.0, 0.1)], &[], &[]);
         assert_eq!(narrow.shard_widths, [1]);
         let json = narrow.to_json().pretty();
         assert!(!json.contains("shard_widths"));
@@ -1340,18 +1377,8 @@ mod tests {
         // predicted-vs-realized audit.
         let mut wide = completed(1, 0.0, 0.2);
         wide.shards = 3;
-        let fanned = ServeReport::assemble(
-            "least-loaded-sharded",
-            "poisson",
-            &[completed(0, 0.0, 0.1), wide],
-            &[],
-            &[],
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
+        let fanned = fold(&[completed(0, 0.0, 0.1), wide], &[], &[]).into_report(
+            quiet_queue(),
             vec![card_summary(0, 0)],
             Vec::new(),
             Vec::new(),
@@ -1372,7 +1399,6 @@ mod tests {
 
     #[test]
     fn capped_logs_declare_their_truncation() {
-        let runs = [completed(0, 0.0, 0.1)];
         let preemptions: Vec<PreemptionRecord> = (0..300)
             .map(|i| PreemptionRecord {
                 time: i as f64 * 1e-3,
@@ -1382,18 +1408,8 @@ mod tests {
                 jobs_checkpointed: 1,
             })
             .collect();
-        let report = ServeReport::assemble(
-            "fifo",
-            "poisson",
-            &runs,
-            &[],
-            &[],
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
+        let report = fold(&[completed(0, 0.0, 0.1)], &[], &[]).into_report(
+            quiet_queue(),
             vec![card_summary(0, 0)],
             preemptions,
             Vec::new(),
@@ -1415,19 +1431,8 @@ mod tests {
 
     #[test]
     fn uncapped_logs_omit_truncation_meta() {
-        let runs = [completed(0, 0.0, 0.1)];
-        let report = ServeReport::assemble(
-            "fifo",
-            "poisson",
-            &runs,
-            &[],
-            &[],
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
+        let report = fold(&[completed(0, 0.0, 0.1)], &[], &[]).into_report(
+            quiet_queue(),
             vec![card_summary(0, 0)],
             vec![PreemptionRecord {
                 time: 0.05,
@@ -1468,26 +1473,8 @@ mod tests {
 
     #[test]
     fn telemetry_attachment_serializes_only_when_present() {
-        let runs = [completed(0, 0.0, 0.1)];
-        let mut report = ServeReport::assemble(
-            "fifo",
-            "poisson",
-            &runs,
-            &[],
-            &[],
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
-            vec![card_summary(0, 0)],
-            Vec::new(),
-            Vec::new(),
-            None,
-            None,
-        );
-        assert_eq!(report.telemetry, None, "assemble is the Exact path");
+        let mut report = report_of(&[completed(0, 0.0, 0.1)], &[], &[]);
+        assert_eq!(report.telemetry, None, "exact mode attaches no histogram");
         let json = report.to_json().pretty();
         assert!(!json.contains("\"telemetry\""));
         report.telemetry = Some(TelemetrySummary {
@@ -1514,25 +1501,7 @@ mod tests {
 
     #[test]
     fn fault_block_serializes_only_when_a_plan_ran() {
-        let runs = [completed(0, 0.0, 0.1)];
-        let mut report = ServeReport::assemble(
-            "fifo",
-            "poisson",
-            &runs,
-            &[],
-            &[],
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
-            vec![card_summary(0, 0)],
-            Vec::new(),
-            Vec::new(),
-            None,
-            None,
-        );
+        let mut report = report_of(&[completed(0, 0.0, 0.1)], &[], &[]);
         let json = report.to_json().pretty();
         assert!(!json.contains("\"faults\""), "fault-free JSON is untouched");
         assert!(!json.contains("\"failed\""));
@@ -1554,20 +1523,11 @@ mod tests {
     fn failed_requests_count_against_offered_and_attainment() {
         // One on-time completion, one request stranded by a dead fleet:
         // offered is 2 and attainment 0.5, exactly as if it were shed.
-        let runs = [completed(0, 0.0, 1e-4)];
         let lost = [Request::classed(1, 0.0, shape(), RequestClass::Batch)];
-        let report = ServeReport::assemble(
-            "fifo",
-            "poisson",
-            &runs,
-            &[],
-            &lost,
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
+        let accum = fold(&[completed(0, 0.0, 1e-4)], &[], &lost);
+        assert_eq!(accum.failed(), 1);
+        let report = accum.into_report(
+            quiet_queue(),
             vec![card_summary(0, 0)],
             Vec::new(),
             Vec::new(),
@@ -1591,15 +1551,9 @@ mod tests {
     }
 
     fn session_completed(id: u64, session: u64, arrival: f64, finished: f64) -> CompletedRequest {
-        CompletedRequest {
-            request: Request::new(id, arrival, shape()).with_session(session),
-            dispatched: arrival,
-            finished,
-            first_step_finished: finished,
-            card: 0,
-            pipeline: 0,
-            shards: 1,
-        }
+        let mut c = completed(id, arrival, finished);
+        c.request.session = session;
+        c
     }
 
     #[test]
@@ -1612,7 +1566,7 @@ mod tests {
             session_completed(2, 2, 0.0, 4.0),
         ];
         let shed = [Request::new(3, 0.0, shape()).with_session(3)];
-        let s = SessionSummary::from_requests(&runs, &shed, &[]).unwrap();
+        let s = report_of(&runs, &shed, &[]).sessions.unwrap();
         assert_eq!(s.sessions, 3, "a fully-shed session still counts");
         assert_eq!(s.turns_completed, 3);
         assert!((s.mean_turns - 1.0).abs() < 1e-12);
@@ -1630,11 +1584,11 @@ mod tests {
             session_completed(0, 1, 0.0, 1.0),
             session_completed(1, 2, 0.0, 1.0),
         ];
-        let s = SessionSummary::from_requests(&equal, &[], &[]).unwrap();
+        let s = report_of(&equal, &[], &[]).sessions.unwrap();
         assert!((s.fairness - 1.0).abs() < 1e-12);
         // Every turn shed: no completions, fairness defined as 1.
         let shed = [Request::new(0, 0.0, shape()).with_session(7)];
-        let starved = SessionSummary::from_requests(&[], &shed, &[]).unwrap();
+        let starved = report_of(&[], &shed, &[]).sessions.unwrap();
         assert_eq!(starved.latency, None);
         assert_eq!(starved.fairness, 1.0);
         assert_eq!(starved.turns_completed, 0);
@@ -1642,37 +1596,81 @@ mod tests {
 
     #[test]
     fn session_block_serializes_only_when_traffic_carried_ids() {
-        // Sessionless traffic: `from_requests` returns None and the JSON
-        // has no sessions block at all.
-        let plain = [completed(0, 0.0, 0.1)];
-        assert_eq!(SessionSummary::from_requests(&plain, &[], &[]), None);
+        // Sessionless traffic: no session block, in the report or its
+        // JSON.
+        let plain = report_of(&[completed(0, 0.0, 0.1)], &[], &[]);
+        assert_eq!(plain.sessions, None);
+        assert!(!plain.to_json().pretty().contains("\"sessions\""));
         let runs = [
             session_completed(0, 1, 0.0, 1.0),
             session_completed(1, 2, 0.0, 2.0),
         ];
-        let report = ServeReport::assemble(
-            "fifo",
-            "poisson",
-            &runs,
-            &[],
-            &[],
-            QueueSummary {
-                max_depth: 0,
-                mean_depth: 0.0,
-                timeline: Vec::new(),
-                total_samples: 0,
-            },
-            vec![card_summary(0, 0)],
-            Vec::new(),
-            Vec::new(),
-            None,
-            None,
-        );
-        let json = report.to_json().pretty();
+        let json = report_of(&runs, &[], &[]).to_json().pretty();
         assert!(json.contains("\"sessions\""));
         assert!(json.contains("\"turns_completed\": 2"));
         assert!(json.contains("\"mean_turns\": 1"));
         assert!(json.contains("\"fairness_jain\": 1"));
+    }
+
+    #[test]
+    fn exact_report_does_not_depend_on_completion_order() {
+        let class = |c: CompletedRequest, class: RequestClass| CompletedRequest {
+            request: Request {
+                class,
+                slo_seconds: Request::class_slo(class, &shape()),
+                ..c.request
+            },
+            ..c
+        };
+        let mut wide = completed(1, 0.0, 0.35);
+        wide.shards = 3;
+        // A 4-step plan that exited after its second step, and a 3-step
+        // plan that ran to the end.
+        let decode = |id: u64, steps: u32, steps_done: u32, first: f64, finished: f64| {
+            let mut c = completed(id, 0.1, finished);
+            c.request.decode = DecodePlan {
+                steps,
+                exit_prob: 0.5,
+                exit_seed: id,
+            };
+            c.request.steps_done = steps_done;
+            c.first_step_finished = first;
+            c
+        };
+        // One session whose turns finish out of id order, taking 0.3,
+        // 0.2 and 0.1 s: summed in id order (0.3 + 0.2) + 0.1, in
+        // completion order (0.1 + 0.2) + 0.3, and the two differ in the
+        // last bit.
+        assert_ne!((0.3 + 0.2) + 0.1, (0.1 + 0.2) + 0.3);
+        let runs = [
+            completed(0, 0.0, 0.1),
+            wide,
+            class(completed(2, 0.2, 0.9), RequestClass::Batch),
+            class(completed(3, 0.3, 2.0), RequestClass::Background),
+            decode(4, 4, 2, 0.3, 0.6),
+            decode(5, 3, 3, 0.2, 0.7),
+            session_completed(6, 9, 0.0, 0.3),
+            session_completed(7, 9, 0.0, 0.2),
+            session_completed(8, 9, 0.0, 0.1),
+        ];
+        let shed = [Request::classed(9, 0.4, shape(), RequestClass::Background).with_session(9)];
+        let in_order = report_of(&runs, &shed, &[]);
+        let mut reversed = runs;
+        reversed.reverse();
+        let out_of_order = report_of(&reversed, &shed, &[]);
+        let decode = in_order.decode.as_ref().expect("two decode completions");
+        assert_eq!((decode.decode_requests, decode.early_exits), (2, 1));
+        assert_eq!(decode.steps_histogram, [7, 1, 1]);
+        assert_eq!(in_order.max_shards, 3);
+        assert_eq!(in_order.classes.len(), 3);
+        let session = in_order.sessions.as_ref().expect("one session");
+        assert_eq!(session.turns_completed, 3);
+        assert_eq!(
+            session.latency.map(|l| l.mean),
+            Some(((0.3 + 0.2) + 0.1) / 3.0),
+            "turns sum in id order"
+        );
+        assert_eq!(in_order.to_json().pretty(), out_of_order.to_json().pretty());
     }
 
     #[test]

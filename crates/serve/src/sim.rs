@@ -53,15 +53,13 @@ use crate::event::{Event, EventQueue, PriorityQueue};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::fleet::{Admission, Card, Fleet, FleetConfig};
 use crate::metrics::{
-    CardSummary, ClassSummary, CostPrediction, FaultSummary, PreemptionRecord, QueueSample,
-    QueueSummary, ServeReport, TelemetrySummary,
+    CardSummary, CostPrediction, FaultSummary, PreemptionRecord, QueueSample, QueueSummary,
+    ReportAccum, ServeReport,
 };
 use crate::policy::{CardView, DispatchPolicy};
 use crate::request::{CompletedRequest, Request};
-use crate::scale::{Autoscaler, AutoscalerConfig, ScaleEvent};
-use crate::trace::{
-    GaugeSample, KernelCounters, NullSink, StreamingSummary, TelemetryMode, TimeBuckets, TraceSink,
-};
+use crate::scale::{Autoscaler, AutoscalerConfig};
+use crate::trace::{GaugeSample, KernelCounters, NullSink, TelemetryMode, TraceSink};
 use swat_numeric::SplitMix64;
 use swat_workloads::{RequestClass, RequestMix};
 
@@ -384,14 +382,17 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Sets how the report accumulates its metrics.
-    /// [`TelemetryMode::Exact`] (the default) keeps every completion and
-    /// computes exact percentiles; [`TelemetryMode::Streaming`] holds
-    /// fixed memory regardless of trace length — P² quantile sketches
-    /// behind the p50/p95/p99 fields plus a bounded time-bucketed gauge
-    /// histogram attached as [`ServeReport::telemetry`]. The *schedule*
-    /// is bitwise identical either way; only the report's summary
-    /// statistics are approximated.
+    /// Sets how the report holds its latency distributions. One
+    /// accumulator folds every completion as it fans in, in either mode.
+    /// [`TelemetryMode::Exact`] (the default) keeps one `f64` per sample
+    /// per distribution and computes exact percentiles;
+    /// [`TelemetryMode::Streaming`] holds fixed memory regardless of
+    /// trace length — P² quantile sketches behind every p50/p95/p99 field
+    /// (the `decode` block's included) plus a bounded time-bucketed gauge
+    /// histogram attached as [`ServeReport::telemetry`] — and omits the
+    /// exact-only [`ServeReport::sessions`] block. The *schedule* is
+    /// bitwise identical either way; only the report's summary statistics
+    /// are approximated.
     pub fn telemetry(mut self, mode: TelemetryMode) -> Simulation<'a> {
         self.telemetry = mode;
         self
@@ -417,9 +418,8 @@ impl<'a> Simulation<'a> {
     /// # Panics
     ///
     /// Panics if `requests` is empty, not sorted by arrival time, or
-    /// (in debug builds, where the O(n) uniqueness scan runs) contains
-    /// duplicate ids (ids must be unique — the dispatch queue and
-    /// the event heap break ties by id, so duplicates would make the
+    /// contains duplicate ids (ids must be unique — the dispatch queue
+    /// and the event heap break ties by id, so duplicates would make the
     /// schedule ambiguous); or if the fleet configuration is invalid. A
     /// trace shed in its entirety by admission control is fine: the
     /// report comes back with zero completions and finite metrics.
@@ -479,39 +479,34 @@ impl<'a> Simulation<'a> {
             requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
             "requests must be sorted by arrival"
         );
-        // Id uniqueness is validated only in debug builds: real traffic
-        // generators number requests densely, and the sort this check
-        // once paid is pure overhead on the million-request release path.
-        #[cfg(debug_assertions)]
-        {
-            // O(n) bitmap for the common dense-id case; arbitrary ids
-            // fall back to the sort.
-            let n = requests.len();
-            let mut seen = vec![false; n];
-            let mut dense = true;
-            for r in requests {
-                match usize::try_from(r.id).ok().filter(|&i| i < n) {
-                    Some(i) => {
-                        assert!(
-                            !seen[i],
-                            "request ids must be unique (the kernel's tie-breaking orders by id)"
-                        );
-                        seen[i] = true;
-                    }
-                    None => {
-                        dense = false;
-                        break;
-                    }
+        // Id uniqueness: an O(n) bitmap for the common dense-id case
+        // (traffic generators number requests densely); arbitrary ids
+        // fall back to a sort.
+        let n = requests.len();
+        let mut seen = vec![false; n];
+        let mut dense = true;
+        for r in requests {
+            match usize::try_from(r.id).ok().filter(|&i| i < n) {
+                Some(i) => {
+                    assert!(
+                        !seen[i],
+                        "request ids must be unique (the kernel's tie-breaking orders by id)"
+                    );
+                    seen[i] = true;
+                }
+                None => {
+                    dense = false;
+                    break;
                 }
             }
-            if !dense {
-                let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-                ids.sort_unstable();
-                assert!(
-                    ids.windows(2).all(|w| w[0] != w[1]),
-                    "request ids must be unique (the kernel's tie-breaking orders by id)"
-                );
-            }
+        }
+        if !dense {
+            let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+            ids.sort_unstable();
+            assert!(
+                ids.windows(2).all(|w| w[0] != w[1]),
+                "request ids must be unique (the kernel's tie-breaking orders by id)"
+            );
         }
         let mut fleet: Fleet = self.fleet.build().expect("invalid fleet configuration");
         // The shared predictive cost model: the same per-card timing the
@@ -546,13 +541,7 @@ impl<'a> Simulation<'a> {
         // Shards currently executing — maintained incrementally so gauge
         // samples never scan the fan-in table.
         let mut live_shards = 0usize;
-        let mut accum = match self.telemetry {
-            TelemetryMode::Exact => Accum::Exact {
-                completed: Vec::with_capacity(requests.len()),
-                rejected: Vec::new(),
-            },
-            TelemetryMode::Streaming => Accum::Streaming(Box::new(StreamingAccum::new())),
-        };
+        let mut accum = ReportAccum::new(self.telemetry, policy.name(), &self.arrivals_label);
         // Reusable CardView scratch: one snapshot per card, maintained
         // incrementally. A card is recomputed only when an event marked
         // it `stale` or its last snapshot still carried backlog (backlog
@@ -664,7 +653,7 @@ impl<'a> Simulation<'a> {
                             if live {
                                 sink.shed(now, request);
                             }
-                            accum.reject(*request);
+                            accum.reject(request);
                         }
                     }
                     Event::Completion {
@@ -722,7 +711,7 @@ impl<'a> Simulation<'a> {
                                         if live {
                                             sink.fan_in(now, &record);
                                         }
-                                        accum.complete(record);
+                                        accum.complete(&record);
                                     } else {
                                         // More steps owed. The remnant
                                         // re-enters dispatch when this
@@ -1174,7 +1163,7 @@ impl<'a> Simulation<'a> {
             // 4½. Gauge sample for sinks and streaming telemetry — the
             // O(cards) fleet scan is skipped entirely on the default
             // (NullSink, Exact) path.
-            if live || matches!(accum, Accum::Streaming(_)) {
+            if live || self.telemetry == TelemetryMode::Streaming {
                 let gauges = GaugeSample {
                     queue_depth: queue.len(),
                     in_flight_shards: live_shards,
@@ -1185,9 +1174,7 @@ impl<'a> Simulation<'a> {
                 if live {
                     sink.gauges(now, &gauges);
                 }
-                if let Accum::Streaming(stats) = &mut accum {
-                    stats.buckets.record(now, &gauges);
-                }
+                accum.gauges(now, &gauges);
             }
 
             // 5. Stop once the outcome is final: every arrival delivered,
@@ -1205,7 +1192,6 @@ impl<'a> Simulation<'a> {
         // waiting and no card to run it. Those requests fail: a terminal
         // state distinct from rejection (they were admitted) that keeps
         // the conservation law exact.
-        let mut failed: Vec<Request> = Vec::new();
         if !queue.is_empty() {
             assert!(
                 fleet.cards().iter().all(Card::dead),
@@ -1223,7 +1209,7 @@ impl<'a> Simulation<'a> {
                 if live {
                     sink.failed(last_event, &table.requests[fi]);
                 }
-                failed.push(table.requests[fi]);
+                accum.fail(&table.requests[fi]);
             }
         }
         assert!(
@@ -1240,96 +1226,47 @@ impl<'a> Simulation<'a> {
             fleet.card_mut(i).close_power_clock(last_event);
         }
 
-        let scaling = scaler.map_or_else(Vec::new, Autoscaler::into_log);
+        assert_eq!(
+            accum.offered(),
+            requests.len(),
+            "every request completes, is shed, or fails"
+        );
         // The faults block exists exactly when a plan was injected, so
         // fault-free reports keep their bytes.
-        let faults = (!self.faults.is_empty()).then_some(FaultSummary {
+        let faults = (!self.faults.is_empty()).then(|| FaultSummary {
             card_deaths: fault_deaths,
             degrades: fault_degrades,
             revivals: fault_revivals,
             shards_lost: fault_shards_lost,
-            failed: failed.len(),
+            failed: accum.failed(),
         });
-        let cost_prediction = (priced_plans > 0).then_some(CostPrediction {
-            plans: priced_plans,
-            mean_abs_error_s: prediction_abs_error / priced_plans.max(1) as f64,
-            max_error_s: prediction_max_error,
-        });
-        let cards_of = |fleet: &Fleet, span: f64| -> Vec<CardSummary> {
+        let span = accum.span(t0);
+        accum.into_report(
+            QueueSummary {
+                max_depth,
+                mean_depth: if span > 0.0 {
+                    depth_integral / span
+                } else {
+                    0.0
+                },
+                timeline,
+                total_samples: samples_total,
+            },
             fleet
                 .cards()
                 .iter()
                 .enumerate()
                 .map(|(i, c)| card_summary(i, c, span))
-                .collect()
-        };
-        let queue_of = |span: f64| QueueSummary {
-            max_depth,
-            mean_depth: if span > 0.0 {
-                depth_integral / span
-            } else {
-                0.0
-            },
-            timeline,
-            total_samples: samples_total,
-        };
-
-        match accum {
-            Accum::Exact {
-                mut completed,
-                rejected,
-            } => {
-                assert_eq!(
-                    completed.len() + rejected.len() + failed.len(),
-                    requests.len()
-                );
-
-                // Stable output order regardless of completion
-                // interleaving.
-                completed.sort_by_key(|c: &crate::request::CompletedRequest| c.request.id);
-
-                // Folding from the first arrival keeps the span
-                // non-negative even when nothing completed (a fully-shed
-                // trace).
-                let makespan_end = completed
-                    .iter()
-                    .map(|c| c.finished)
-                    .fold(requests[0].arrival, f64::max);
-                let span = makespan_end - requests[0].arrival;
-                ServeReport::assemble(
-                    policy.name(),
-                    &self.arrivals_label,
-                    &completed,
-                    &rejected,
-                    &failed,
-                    queue_of(span),
-                    cards_of(&fleet, span),
-                    preemptions,
-                    scaling,
-                    cost_prediction,
-                    faults,
-                )
-            }
-            Accum::Streaming(stats) => {
-                assert_eq!(
-                    stats.completed + stats.rejected + failed.len(),
-                    requests.len()
-                );
-                let makespan_end = requests[0].arrival.max(stats.last_finish);
-                let span = makespan_end - requests[0].arrival;
-                stats.into_report(
-                    policy.name(),
-                    &self.arrivals_label,
-                    &failed,
-                    queue_of(span),
-                    cards_of(&fleet, span),
-                    preemptions,
-                    scaling,
-                    cost_prediction,
-                    faults,
-                )
-            }
-        }
+                .collect(),
+            preemptions,
+            scaler.map_or_else(Vec::new, Autoscaler::into_log),
+            (priced_plans > 0).then_some(CostPrediction {
+                plans: priced_plans,
+                mean_abs_error_s: prediction_abs_error / priced_plans.max(1) as f64,
+                max_error_s: prediction_max_error,
+            }),
+            faults,
+        )
     }
 
     /// Checkpoints-and-requeues one in-flight background **shard**
@@ -1488,207 +1425,6 @@ impl<'a> Simulation<'a> {
         }
         preemptions.push(record);
         Some(slot.card)
-    }
-}
-
-/// How a run accumulates its completions: the Exact path keeps every
-/// record (the original behaviour — exact percentiles, byte-identical
-/// JSON), the Streaming path folds each into fixed-memory sketches at
-/// fan-in.
-enum Accum {
-    /// Keep everything; assemble at the end.
-    Exact {
-        completed: Vec<CompletedRequest>,
-        rejected: Vec<Request>,
-    },
-    /// Fixed-memory streaming aggregates (boxed: the P² sketches make it
-    /// an order of magnitude bigger than the Exact variant's two Vecs).
-    Streaming(Box<StreamingAccum>),
-}
-
-impl Accum {
-    fn complete(&mut self, record: CompletedRequest) {
-        match self {
-            Accum::Exact { completed, .. } => completed.push(record),
-            Accum::Streaming(stats) => stats.complete(&record),
-        }
-    }
-
-    fn reject(&mut self, request: Request) {
-        match self {
-            Accum::Exact { rejected, .. } => rejected.push(request),
-            Accum::Streaming(stats) => stats.reject(&request),
-        }
-    }
-}
-
-/// Per-class streaming aggregates (see [`StreamingAccum`]).
-struct ClassAccum {
-    completed: usize,
-    rejected: usize,
-    /// Requests stranded by a fleet-wide death: offered, never served.
-    failed: usize,
-    slo_violations: usize,
-    latency: StreamingSummary,
-}
-
-impl ClassAccum {
-    fn new() -> ClassAccum {
-        ClassAccum {
-            completed: 0,
-            rejected: 0,
-            failed: 0,
-            slo_violations: 0,
-            latency: StreamingSummary::new(),
-        }
-    }
-}
-
-/// The fixed-memory accumulator behind [`TelemetryMode::Streaming`]:
-/// running counts, P² latency sketches (overall and per class), the
-/// shard-width histogram, and the bounded gauge histogram — nothing here
-/// grows with trace length.
-struct StreamingAccum {
-    completed: usize,
-    rejected: usize,
-    slo_violations: usize,
-    sharded_requests: usize,
-    /// `shard_widths[w - 1]` completions at peak width `w` (grows to the
-    /// widest plan seen, bounded by pipelines per card group).
-    shard_widths: Vec<usize>,
-    latency: StreamingSummary,
-    classes: [ClassAccum; RequestClass::ALL.len()],
-    /// Earliest arrival among completions (`∞` until one completes).
-    first_arrival: f64,
-    /// Latest fan-in among completions (`0` until one completes, matching
-    /// [`ServeReport::assemble`]'s fold).
-    last_finish: f64,
-    /// The bounded time-bucketed gauge histogram.
-    buckets: TimeBuckets,
-}
-
-impl StreamingAccum {
-    fn new() -> StreamingAccum {
-        StreamingAccum {
-            completed: 0,
-            rejected: 0,
-            slo_violations: 0,
-            sharded_requests: 0,
-            shard_widths: Vec::new(),
-            latency: StreamingSummary::new(),
-            classes: [ClassAccum::new(), ClassAccum::new(), ClassAccum::new()],
-            first_arrival: f64::INFINITY,
-            last_finish: 0.0,
-            buckets: TimeBuckets::new(),
-        }
-    }
-
-    fn complete(&mut self, record: &CompletedRequest) {
-        self.completed += 1;
-        let latency = record.latency();
-        self.latency.observe(latency);
-        let class = &mut self.classes[record.request.class.rank() as usize];
-        class.completed += 1;
-        class.latency.observe(latency);
-        if !record.met_slo() {
-            self.slo_violations += 1;
-            class.slo_violations += 1;
-        }
-        let width = record.shards as usize;
-        if width > 1 {
-            self.sharded_requests += 1;
-        }
-        if self.shard_widths.len() < width {
-            self.shard_widths.resize(width, 0);
-        }
-        self.shard_widths[width - 1] += 1;
-        self.first_arrival = self.first_arrival.min(record.request.arrival);
-        self.last_finish = self.last_finish.max(record.finished);
-    }
-
-    fn reject(&mut self, request: &Request) {
-        self.rejected += 1;
-        self.classes[request.class.rank() as usize].rejected += 1;
-    }
-
-    /// Builds the report from the sketches — the same shape
-    /// [`ServeReport::assemble`] produces, with percentiles estimated
-    /// instead of exact and the gauge histogram attached as `telemetry`.
-    /// `failed` requests count toward their class's offered tally, as in
-    /// exact mode. Session summaries are unavailable in streaming mode
-    /// (per-session state is unbounded), so `sessions` stays `None`.
-    #[allow(clippy::too_many_arguments)]
-    fn into_report(
-        mut self,
-        policy: &str,
-        arrivals: &str,
-        failed: &[Request],
-        queue: QueueSummary,
-        cards: Vec<CardSummary>,
-        preemptions: Vec<PreemptionRecord>,
-        scaling: Vec<ScaleEvent>,
-        cost_prediction: Option<CostPrediction>,
-        faults: Option<FaultSummary>,
-    ) -> ServeReport {
-        for r in failed {
-            self.classes[r.class.rank() as usize].failed += 1;
-        }
-        let makespan = if self.completed == 0 {
-            0.0
-        } else {
-            self.last_finish - self.first_arrival
-        };
-        let energy: f64 = cards.iter().map(|c| c.energy_joules).sum();
-        let idle_energy: f64 = cards.iter().map(|c| c.idle_energy_joules).sum();
-        let classes: Vec<ClassSummary> = RequestClass::ALL
-            .iter()
-            .zip(&self.classes)
-            .filter(|(_, acc)| acc.completed + acc.rejected + acc.failed > 0)
-            .map(|(&class, acc)| ClassSummary {
-                class,
-                offered: acc.completed + acc.rejected + acc.failed,
-                completed: acc.completed,
-                rejected: acc.rejected,
-                slo_violations: acc.slo_violations,
-                latency: acc.latency.summary(),
-            })
-            .collect();
-        let telemetry = TelemetrySummary {
-            bucket_seconds: self.buckets.width_seconds(),
-            buckets: self.buckets.rows(),
-        };
-        ServeReport {
-            policy: policy.to_string(),
-            arrivals: arrivals.to_string(),
-            offered: self.completed + self.rejected + failed.len(),
-            completed: self.completed,
-            rejected: self.rejected,
-            failed: failed.len(),
-            sharded_requests: self.sharded_requests,
-            max_shards: self.shard_widths.len(),
-            shard_widths: self.shard_widths,
-            makespan,
-            throughput_rps: if makespan > 0.0 {
-                self.completed as f64 / makespan
-            } else {
-                0.0
-            },
-            latency: self.latency.summary(),
-            classes,
-            queue,
-            cards: cards.clone(),
-            groups: crate::metrics::GroupSummary::from_cards(&cards),
-            energy_joules: energy,
-            idle_energy_joules: idle_energy,
-            slo_violations: self.slo_violations,
-            preemptions,
-            scaling,
-            cost_prediction,
-            faults,
-            sessions: None,
-            decode: None,
-            telemetry: Some(telemetry),
-        }
     }
 }
 
@@ -2056,7 +1792,11 @@ mod tests {
                 in_flight.push((
                     admission.finish,
                     crate::request::CompletedRequest {
-                        request,
+                        // Its one step fans in when it finishes.
+                        request: Request {
+                            steps_done: 1,
+                            ..request
+                        },
                         dispatched: now,
                         finished: admission.finish,
                         first_step_finished: admission.finish,
@@ -2087,7 +1827,6 @@ mod tests {
                 (None, None) => break,
             };
         }
-        completed.sort_by_key(|c| c.request.id);
         let makespan_end = completed
             .iter()
             .map(|c| c.finished)
@@ -2104,12 +1843,11 @@ mod tests {
             .enumerate()
             .map(|(i, c)| card_summary(i, c, span))
             .collect();
-        ServeReport::assemble(
-            policy.name(),
-            "trace",
-            &completed,
-            &[],
-            &[],
+        let mut accum = ReportAccum::new(TelemetryMode::Exact, policy.name(), "trace");
+        for c in &completed {
+            accum.complete(c);
+        }
+        accum.into_report(
             QueueSummary {
                 max_depth,
                 mean_depth: depth_integral / span,
@@ -2793,17 +2531,33 @@ mod tests {
     }
 
     #[test]
-    // In debug builds the up-front uniqueness assert fires; in release
-    // that check is compiled out and the dispatch queue's own duplicate
-    // detection panics instead. Both messages name the request id.
-    #[should_panic(expected = "request id")]
+    #[should_panic(expected = "request ids must be unique")]
     fn duplicate_request_ids_rejected() {
         // E.g. two independently generated traces naively concatenated:
         // both number requests from 0, which would make the kernel's
-        // id-based tie-breaking ambiguous.
-        let mut requests = traffic(1).requests(10);
-        requests[3].id = requests[7].id;
-        let _ = Simulation::new(&FleetConfig::standard(1)).run(&mut Fifo, &requests);
+        // id-based tie-breaking ambiguous. On the busy card the duplicate
+        // meets its twin in the dispatch queue; on the idle fleet
+        // (Poisson(1) over six cards) nothing ever queues, so only the
+        // up-front check can catch it. Both runs must panic with that
+        // check's message; the busy one is caught so the idle one runs.
+        let run = |spec: TrafficSpec, cards: usize| {
+            let mut requests = spec.requests(10);
+            requests[3].id = requests[7].id;
+            Simulation::new(&FleetConfig::standard(cards)).run(&mut Fifo, &requests)
+        };
+        let busy = std::panic::catch_unwind(|| run(traffic(1), 1))
+            .expect_err("a busy card must reject duplicate ids");
+        let message = busy
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| busy.downcast_ref::<String>().map(String::as_str));
+        let rejected = message.is_some_and(|m| m.contains("request ids must be unique"));
+        assert!(rejected, "busy card panicked with {message:?}");
+        let idle = TrafficSpec {
+            arrivals: ArrivalProcess::poisson(1.0),
+            ..traffic(1)
+        };
+        let _ = run(idle, 6);
     }
 
     #[test]

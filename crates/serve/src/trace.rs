@@ -24,15 +24,18 @@
 //!    card, one thread per pipeline, a complete span per shard, instant
 //!    events for preemptions and scaling decisions, and counter tracks for
 //!    the gauges. See `examples/serve_trace.rs`.
-//! 3. **Streaming telemetry** — [`TelemetryMode::Streaming`] replaces the
-//!    report's unbounded per-completion accumulation with fixed memory:
-//!    a [`P2Quantile`] estimator (Jain & Chlamtac's P² algorithm, five
-//!    markers per quantile) behind each p50/p95/p99 field, and
-//!    [`TimeBuckets`] — a bounded, width-doubling time histogram of the
-//!    gauges that lands in the report as
-//!    [`TelemetrySummary`](crate::metrics::TelemetrySummary).
-//!    [`TelemetryMode::Exact`] (the default) keeps the original
-//!    sort-everything path and its byte-identical JSON guarantee.
+//! 3. **Streaming telemetry** — the report accumulator folds every
+//!    completion as it fans in, in both modes. [`TelemetryMode::Exact`]
+//!    (the default) keeps one `f64` per sample in each latency
+//!    distribution, sorted once when the report is built, which is what
+//!    keeps exact JSON byte-identical. [`TelemetryMode::Streaming`]
+//!    holds fixed memory instead: a [`StreamingSummary`] of
+//!    [`P2Quantile`] estimators (Jain & Chlamtac's P² algorithm, five
+//!    markers per quantile) behind each p50/p95/p99 field, the decode
+//!    block's included, and [`TimeBuckets`] — a bounded, width-doubling
+//!    time histogram of the gauges that lands in the report as
+//!    [`TelemetrySummary`](crate::metrics::TelemetrySummary). The
+//!    session block is exact-only.
 //!
 //! [Perfetto]: https://ui.perfetto.dev
 //!
@@ -56,13 +59,16 @@ use crate::scale::ScaleEvent;
 /// [`crate::sim::Simulation::telemetry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TelemetryMode {
-    /// Keep every completion and compute exact nearest-rank percentiles
-    /// (the default — all byte-identical-JSON guarantees hold).
+    /// Keep every latency sample and compute exact nearest-rank
+    /// percentiles (the default — all byte-identical-JSON guarantees
+    /// hold).
     #[default]
     Exact,
     /// Fixed-memory accumulation: P² streaming quantiles behind the
     /// p50/p95/p99 fields and a bounded time-bucketed gauge histogram in
-    /// [`ServeReport::telemetry`](crate::metrics::ServeReport::telemetry).
+    /// [`ServeReport::telemetry`](crate::metrics::ServeReport::telemetry);
+    /// no [`ServeReport::sessions`](crate::metrics::ServeReport::sessions)
+    /// block.
     /// The schedule is bitwise identical to Exact — only the report's
     /// summary statistics are approximate (see [`P2Quantile`] for the
     /// tested error bounds).

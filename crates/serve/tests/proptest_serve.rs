@@ -736,20 +736,30 @@ proptest! {
     /// Streaming telemetry never changes the schedule: completion,
     /// rejection, failure, preemption, scaling, energy and makespan are
     /// bitwise identical to the exact-mode run, and so is every class
-    /// row's accounting — only the latency percentiles are estimated, and
-    /// those stay within the P² sketch's documented bound. Faults range
-    /// over none, a seeded storm (every death there is later revived) and
-    /// a fleet-wide death mid-trace, which strands the queue as `failed`.
+    /// row's and the decode block's accounting — only the latency
+    /// percentiles are estimated, and those stay within the P² sketch's
+    /// documented bound. Faults range over none, a seeded storm (every
+    /// death there is later revived) and a fleet-wide death mid-trace,
+    /// which strands the queue as `failed`; traffic over one-shot
+    /// requests and 2–4-step decode plans with and without early exit.
     #[test]
     fn streaming_mode_preserves_the_schedule(
         cards in 1usize..4,
         policy_idx in any_policy(),
         arrivals in any_arrivals(),
         faults in 0usize..3,
+        decode in 0usize..3,
         seed in any::<u64>(),
     ) {
         let spec = TrafficSpec { arrivals, mix: RequestMix::Production, seed };
-        let requests = spec.requests(80);
+        let requests = match decode {
+            0 => spec.requests(80),
+            exits => spec.decode_requests(80, &DecodeMix {
+                min_steps: 2,
+                max_steps: 4,
+                exit_prob: if exits == 1 { 0.0 } else { 0.2 },
+            }),
+        };
         let fleet = FleetConfig::standard(cards);
         let span = requests[79].arrival - requests[0].arrival;
         let plan = match faults {
@@ -796,6 +806,20 @@ proptest! {
         if let Some(ls) = streaming.latency {
             prop_assert!(ls.p50 <= ls.p95 && ls.p95 <= ls.p99 && ls.p99 <= ls.max);
         }
+        // Decode counts are exact in both modes; its distributions are
+        // sketched. Sessions stay exact-only.
+        prop_assert_eq!(exact.decode.is_some(), streaming.decode.is_some());
+        prop_assert_eq!(exact.decode.is_some(), decode > 0 && exact.completed > 0);
+        if let (Some(de), Some(ds)) = (&exact.decode, &streaming.decode) {
+            prop_assert_eq!(de.decode_requests, ds.decode_requests);
+            prop_assert_eq!(de.steps_completed, ds.steps_completed);
+            prop_assert_eq!(&de.steps_histogram, &ds.steps_histogram);
+            prop_assert_eq!(de.early_exits, ds.early_exits);
+            for l in [ds.ttft, ds.step_interval, ds.total_latency].into_iter().flatten() {
+                prop_assert!(l.p50 <= l.p95 && l.p95 <= l.p99 && l.p99 <= l.max);
+            }
+        }
+        prop_assert!(streaming.sessions.is_none());
     }
 
     /// Work conservation: the pipeline-seconds the shards held equal the
