@@ -146,7 +146,7 @@ impl FleetConfig {
     }
 }
 
-/// What one [`Card::admit`] committed to: where the request runs, when it
+/// What one [`Card::admit_jobs`] committed to: where the request runs, when it
 /// drains, and the timing terms the simulator needs later to checkpoint
 /// the request if it gets preempted.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -462,11 +462,11 @@ impl Card {
 
     /// Admits one **shard** of a request at `now` onto this card's
     /// earliest-free pipeline: `count` jobs starting at enumeration
-    /// offset `skip` in the `batch × layers × heads` grid. [`Card::admit`]
-    /// is the whole-fragment special case. Each shard pays the weight
-    /// swap if the family is not yet resident on *this* card (the first
-    /// shard streams it in; later shards on the same card find it
-    /// resident); a request with a [pending
+    /// offset `skip` in the `batch × layers × heads` grid (the test-only
+    /// `Card::admit` is the whole-fragment special case). Each shard pays
+    /// the weight swap if the family is not yet resident on *this* card
+    /// (the first shard streams it in; later shards on the same card find
+    /// it resident); a request with a [pending
     /// restart](Request::pending_restart) pays the restart penalty (the
     /// simulator flags exactly one admission per preemption — the
     /// resumed remnant's first).
@@ -553,7 +553,7 @@ impl Card {
     /// lost: checkpoint granularity is one attention job, the unit the
     /// paper's pipeline streams atomically.
     ///
-    /// `dispatched` and `admission` must be the values [`Card::admit`]
+    /// `dispatched` and `admission` must be the values [`Card::admit_jobs`]
     /// returned for this request; `now` must lie inside the admission's
     /// service window.
     pub(crate) fn preempt(&mut self, admission: &Admission, dispatched: f64, now: f64) -> usize {

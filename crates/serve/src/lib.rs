@@ -136,9 +136,7 @@ pub use scenario::{
     PreemptionSpec, ScenarioSpec, TrafficModel,
 };
 pub use session::{SessionProfile, SessionTraffic};
-pub use sim::{
-    serve, AdmissionControl, DecodeBatching, PreemptionControl, Simulation, TrafficSpec,
-};
+pub use sim::{AdmissionControl, DecodeBatching, PreemptionControl, Simulation, TrafficSpec};
 pub use swat_workloads::RequestClass;
 pub use trace::{
     ChromeTraceSink, GaugeSample, KernelCounters, NullSink, RecordingSink, TelemetryMode,

@@ -266,7 +266,7 @@ impl CostPrediction {
 /// when the run carried a non-empty [`FaultPlan`](crate::fault::FaultPlan)
 /// — fault-free runs omit the block entirely, keeping their JSON
 /// byte-identical to pre-fault releases.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultSummary {
     /// Card-death events delivered (a death aimed at an already-dead
     /// card is a no-op and not counted).
@@ -903,7 +903,9 @@ pub(crate) struct ReportAccum {
     /// that exited early.
     decode_requests: usize,
     early_exits: usize,
-    ttft: LatencyStore,
+    /// `None` until the first multi-step completion (see
+    /// [`ReportAccum::complete`]).
+    ttft: Option<LatencyStore>,
     step_interval: LatencyStore,
     /// Arrival to final fan-in, multi-step plans only.
     decode_latency: LatencyStore,
@@ -938,7 +940,7 @@ impl ReportAccum {
             steps_histogram: Vec::new(),
             decode_requests: 0,
             early_exits: 0,
-            ttft: LatencyStore::new(mode),
+            ttft: None,
             step_interval: LatencyStore::new(mode),
             decode_latency: LatencyStore::new(mode),
             sessions: (!streaming).then(Vec::new),
@@ -947,7 +949,16 @@ impl ReportAccum {
     }
 
     /// Folds in one completion (its final fan-in).
+    ///
+    /// Only a run with a multi-step plan reports TTFT, so the TTFT store
+    /// starts at the first multi-step completion, as a copy of the
+    /// overall latency store: every earlier completion was one-shot, and
+    /// a one-shot TTFT equals its latency bitwise, so the copy holds
+    /// exactly the samples (or sketch state) the store would have.
     pub(crate) fn complete(&mut self, c: &CompletedRequest) {
+        if self.ttft.is_none() && !c.request.decode.is_one_shot() {
+            self.ttft = Some(self.latency.clone());
+        }
         let latency = c.latency();
         self.latency.observe(latency);
         let (class, store) = &mut self.classes[c.request.class.rank() as usize];
@@ -962,7 +973,9 @@ impl ReportAccum {
         self.last_finish = self.last_finish.max(c.finished);
         let steps = c.request.steps_done;
         count(&mut self.steps_histogram, steps as usize);
-        self.ttft.observe(c.ttft());
+        if let Some(ttft) = &mut self.ttft {
+            ttft.observe(c.ttft());
+        }
         if !c.request.decode.is_one_shot() {
             self.decode_requests += 1;
             if c.early_exit() {
@@ -1108,7 +1121,7 @@ impl ReportAccum {
                     steps_histogram: self.steps_histogram,
                     early_exits: self.early_exits,
                     early_exit_rate: self.early_exits as f64 / self.decode_requests as f64,
-                    ttft: self.ttft.summary(),
+                    ttft: self.ttft.and_then(LatencyStore::summary),
                     step_interval: self.step_interval.summary(),
                     total_latency: self.decode_latency.summary(),
                 }
@@ -1671,6 +1684,48 @@ mod tests {
             "turns sum in id order"
         );
         assert_eq!(in_order.to_json().pretty(), out_of_order.to_json().pretty());
+    }
+
+    #[test]
+    fn ttft_store_starts_at_the_first_multi_step_completion() {
+        // One-shot completions (TTFT equals latency), then three-step
+        // ones whose first step lands well before the end, then one-shot
+        // again: the decode block's TTFT must summarize every
+        // completion's `ttft()`, in both telemetry modes.
+        let at = |i: u64| 0.1 * i as f64;
+        let mut runs: Vec<CompletedRequest> = (0..12)
+            .map(|i| completed(i, at(i), at(i) + 0.05 * (i % 5 + 1) as f64))
+            .collect();
+        for i in 12..24 {
+            let mut c = completed(i, at(i), at(i) + 0.9);
+            c.request.decode = DecodePlan {
+                steps: 3,
+                exit_prob: 0.0,
+                exit_seed: i,
+            };
+            c.request.steps_done = 3;
+            c.first_step_finished = at(i) + 0.02 * (i % 7 + 1) as f64;
+            runs.push(c);
+        }
+        runs.extend((24..30).map(|i| completed(i, at(i), at(i) + 0.3)));
+        for mode in [TelemetryMode::Exact, TelemetryMode::Streaming] {
+            let mut accum = ReportAccum::new(mode, "fifo", "poisson");
+            let mut expected = LatencyStore::new(mode);
+            for c in &runs {
+                accum.complete(c);
+                expected.observe(c.ttft());
+            }
+            let report = accum.into_report(
+                quiet_queue(),
+                vec![card_summary(0, 0)],
+                Vec::new(),
+                Vec::new(),
+                None,
+                None,
+            );
+            let decode = report.decode.expect("multi-step completions");
+            assert_eq!(decode.ttft, expected.summary(), "{mode:?}");
+        }
     }
 
     #[test]

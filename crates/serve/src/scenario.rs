@@ -731,10 +731,10 @@ impl ScenarioSpec {
         match self.preemption {
             PreemptionSpec::AfterWait { threshold_s }
             | PreemptionSpec::CostAware { threshold_s }
-                if !(threshold_s.is_finite() && threshold_s >= 0.0) =>
+                if !(threshold_s.is_finite() && threshold_s > 0.0) =>
             {
                 return Err(format!(
-                    "preemption threshold must be non-negative and finite, got {threshold_s}"
+                    "preemption threshold must be positive and finite, got {threshold_s}"
                 ));
             }
             _ => {}
@@ -941,23 +941,28 @@ impl ScenarioSpec {
 
     /// Resolves the span-relative fault schedule against a generated
     /// trace, in list order (order is observable: the kernel breaks
-    /// same-instant fault ties by insertion).
-    fn fault_plan(&self, trace: &[Request]) -> FaultPlan {
-        if self.faults.is_empty() {
-            return FaultPlan::none();
-        }
+    /// same-instant fault ties by insertion). A finite fraction can still
+    /// resolve past the largest `f64` on a long trace: that fault is
+    /// named in the `Err`.
+    fn fault_plan(&self, trace: &[Request]) -> Result<FaultPlan, String> {
         let t0 = trace[0].arrival;
         let span = trace.last().expect("validated non-empty trace").arrival - t0;
         let mut plan = FaultPlan::none();
-        for f in &self.faults {
+        for (i, f) in self.faults.iter().enumerate() {
             let time = t0 + span * f.at_frac;
+            if !time.is_finite() {
+                return Err(format!(
+                    "fault {i} at span fraction {} resolves to a non-finite time",
+                    f.at_frac
+                ));
+            }
             plan = match f.kind {
                 FaultKindSpec::Kill => plan.kill(time, f.card),
                 FaultKindSpec::Degrade { factor } => plan.degrade(time, f.card, factor),
                 FaultKindSpec::Revive { warmup_s } => plan.revive(time, f.card, warmup_s),
             };
         }
-        plan
+        Ok(plan)
     }
 
     /// Runs the scenario and returns its report.
@@ -969,7 +974,8 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns [`validate`](ScenarioSpec::validate)'s diagnostic if the
-    /// spec is invalid; never panics on bad data.
+    /// spec is invalid, or names a fault whose time resolves past the
+    /// largest `f64`; never panics on bad data.
     pub fn run(&self) -> Result<ServeReport, String> {
         self.run_profiled().map(|(report, _)| report)
     }
@@ -980,12 +986,13 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns [`validate`](ScenarioSpec::validate)'s diagnostic if the
-    /// spec is invalid; never panics on bad data.
+    /// spec is invalid, or names a fault whose time resolves past the
+    /// largest `f64`; never panics on bad data.
     pub fn run_profiled(&self) -> Result<(ServeReport, KernelCounters), String> {
         self.validate()?;
         let fleet = self.fleet.config();
         let trace = self.trace();
-        let plan = self.fault_plan(&trace);
+        let plan = self.fault_plan(&trace)?;
         let mut policy = self.policy.build();
         let mut sim = Simulation::new(&fleet)
             .arrivals_label(self.arrivals_label())

@@ -21,14 +21,22 @@
 //! dispatch is the one-shard plan. Service times come from the card's
 //! calibrated timing model stretched by shared-memory contention (see
 //! [`crate::fleet::Card::job_seconds`]). Under a [`PreemptionControl`]
-//! the dispatcher may checkpoint-and-requeue the youngest in-flight
-//! background **shard** to make room for interactive work: only that
-//! shard's unfinished jobs requeue (merging with any remnant of the same
-//! request already waiting), while its sibling shards keep running.
+//! the dispatcher may checkpoint-and-requeue one in-flight background
+//! **shard** (the youngest, or the cheapest to evict) to make room for
+//! interactive work: only that shard's unfinished jobs requeue (merging
+//! with any remnant of the same request already waiting), while its
+//! sibling shards keep running.
 //!
-//! The loop is driven by the [`crate::event::EventQueue`] binary heap, so
-//! advancing time is O(log n) in the number of in-flight shards instead
-//! of the O(n) rescan the first implementation did. The per-run state is
+//! A run's state lives in a private `Kernel`: [`Simulation::run`] checks
+//! the trace, builds one, pops every event due at one instant from the
+//! [`crate::event::EventQueue`] heap (O(log n) in the in-flight shards)
+//! and hands each to the kernel's handler for its kind, then runs the
+//! kernel's **dispatch round** (refresh stale card views, dispatch while
+//! the policy returns plans) and **settle** (autoscaler feedback, queue
+//! and gauge samples). Two transitions have one home each: `start_shard`
+//! admits every shard — each entry of a plan, and a whole-job decode
+//! step re-admitted in place — and `requeue_remnant` handles every
+//! eviction, preempted or lost with its card. The state is
 //! **arena-backed**: one working copy of every request lives in a dense
 //! slab indexed by arrival position, the fan-in table is a flat
 //! `FlightMeta` row per request (no tree, no per-dispatch allocation),
@@ -474,49 +482,167 @@ impl<'a> Simulation<'a> {
         sink: &mut dyn TraceSink,
         counters: &mut KernelCounters,
     ) -> ServeReport {
-        assert!(!requests.is_empty(), "cannot simulate zero requests");
-        assert!(
-            requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "requests must be sorted by arrival"
-        );
-        // Id uniqueness: an O(n) bitmap for the common dense-id case
-        // (traffic generators number requests densely); arbitrary ids
-        // fall back to a sort.
-        let n = requests.len();
-        let mut seen = vec![false; n];
-        let mut dense = true;
-        for r in requests {
-            match usize::try_from(r.id).ok().filter(|&i| i < n) {
-                Some(i) => {
-                    assert!(
-                        !seen[i],
-                        "request ids must be unique (the kernel's tie-breaking orders by id)"
-                    );
-                    seen[i] = true;
+        check_trace(requests);
+        let mut k = Kernel::new(self, policy, requests, sink, counters);
+        while let Some((now, first)) = k.events.pop() {
+            // +1 for the entry just popped: the heap's peak population
+            // includes the event being delivered.
+            k.counters.peak_event_heap = k.counters.peak_event_heap.max(k.events.len() + 1);
+            k.depth_integral += k.queue.len() as f64 * (now - k.last_event);
+            k.last_event = now;
+            // Deliver this event and every other event due at exactly
+            // `now` (the heap orders ties by kind, then card, id and
+            // shard) before dispatching.
+            let mut next = Some(first);
+            while let Some(event) = next {
+                k.counters.events_by_kind[event.kind_index()] += 1;
+                match event {
+                    Event::Arrival { index } => k.arrival(now, index),
+                    Event::Completion {
+                        id, shard, index, ..
+                    } => k.completion(now, id, shard, index),
+                    Event::StepComplete { card, id, index } => {
+                        k.step_complete(now, card, id, index)
+                    }
+                    Event::Preemption { id } => k.preemption(now, id),
+                    Event::Warmed { card } => k.warmed(now, card),
+                    // No state change: an idle card reached park
+                    // eligibility, and the settle below must see it now.
+                    Event::ScaleCheck => {}
+                    Event::CardDeath { card } => k.card_death(now, card),
+                    Event::CardDegrade { card, factor } => k.card_degrade(now, card, factor),
+                    Event::CardRevive { card, warmup_s } => k.card_revive(now, card, warmup_s),
                 }
-                None => {
-                    dense = false;
-                    break;
-                }
+                next = (k.events.next_time() == Some(now))
+                    .then(|| k.events.pop().expect("peeked event must pop").1);
+            }
+            k.dispatch_round(now);
+            k.settle(now);
+            // Stop once the outcome is final: every arrival delivered,
+            // nothing queued, nothing in flight. The heap may still hold
+            // stale preemption timers and warm-up markers — all no-ops
+            // from here — and letting them tick would push `last_event`
+            // past the last completion, silently charging phantom
+            // powered/idle time to the energy accounting.
+            if k.arrivals_done && k.queue.is_empty() && k.table.live.is_empty() {
+                break;
             }
         }
-        if !dense {
-            let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-            ids.sort_unstable();
-            assert!(
-                ids.windows(2).all(|w| w[0] != w[1]),
-                "request ids must be unique (the kernel's tie-breaking orders by id)"
-            );
+        k.finish()
+    }
+}
+
+/// Panics unless `requests` is a non-empty, arrival-sorted trace with
+/// unique ids (see [`Simulation::run`]).
+fn check_trace(requests: &[Request]) {
+    assert!(!requests.is_empty(), "cannot simulate zero requests");
+    assert!(
+        requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
+        "requests must be sorted by arrival"
+    );
+    // Id uniqueness: an O(n) bitmap for the common dense-id case (traffic
+    // generators number requests densely); arbitrary ids fall back to a
+    // sort.
+    const DUPLICATE: &str = "request ids must be unique (the kernel's tie-breaking orders by id)";
+    let n = requests.len();
+    let mut seen = vec![false; n];
+    for r in requests {
+        match usize::try_from(r.id).ok().filter(|&i| i < n) {
+            Some(i) => {
+                assert!(!seen[i], "{DUPLICATE}");
+                seen[i] = true;
+            }
+            None => {
+                let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+                ids.sort_unstable();
+                assert!(ids.windows(2).all(|w| w[0] != w[1]), "{DUPLICATE}");
+                return;
+            }
         }
-        let mut fleet: Fleet = self.fleet.build().expect("invalid fleet configuration");
-        // The shared predictive cost model: the same per-card timing the
-        // cards charge, snapshotted for the planner (policies price shard
-        // plans against it, cost-aware preemption prices victims). A
-        // degrade fault re-snapshots it, so planning keeps charging
-        // exactly what admission charges.
-        let mut cost = CostModel::for_fleet(&fleet);
+    }
+}
+
+/// One run's mutable state, with one handler per event kind (from
+/// [`Kernel::arrival`] to [`Kernel::card_revive`]).
+///
+/// [`Simulation::run_inner`] pops each same-instant event batch, hands
+/// every event to its handler, then runs [`Kernel::dispatch_round`] and
+/// [`Kernel::settle`]; [`Kernel::finish`] builds the report. Each
+/// transition the handlers share has one home: every shard starts
+/// through [`Kernel::start_shard`], and every evicted shard, preempted or
+/// lost with its card, requeues through [`Kernel::requeue_remnant`].
+struct Kernel<'k> {
+    sim: &'k Simulation<'k>,
+    policy: &'k mut dyn DispatchPolicy,
+    sink: &'k mut dyn TraceSink,
+    counters: &'k mut KernelCounters,
+    /// Whether hooks fire at all: the default [`NullSink`] opts out, so
+    /// the untraced path pays nothing beyond this one bool.
+    traced: bool,
+    fleet: Fleet,
+    /// The shared predictive cost model: the same per-card timing the
+    /// cards charge, snapshotted for the planner (policies price shard
+    /// plans against it, cost-aware preemption prices victims). A
+    /// degrade fault re-snapshots it, so planning keeps charging exactly
+    /// what admission charges.
+    cost: CostModel,
+    scaler: Option<Autoscaler>,
+    /// The first arrival.
+    t0: f64,
+    events: EventQueue,
+    arrivals_done: bool,
+    queue: PriorityQueue,
+    /// The arena: one working copy of every request, its fan-in row, and
+    /// the shard-slot slab. Every lookup is a dense index carried by the
+    /// event itself; a completion whose shard id no longer matches a live
+    /// slot is a tombstone and is dropped at delivery.
+    table: FlightTable,
+    /// One snapshot per card, maintained incrementally. A card is
+    /// recomputed only when an event marked it `stale` or its last
+    /// snapshot still carried backlog (backlog decays with time; a
+    /// zero-backlog card cannot change without an event naming it —
+    /// every admission, completion, eviction, warm-up, and scaling
+    /// decision marks its card).
+    views: Vec<CardView>,
+    stale: Vec<bool>,
+    /// Shards currently executing — maintained incrementally so gauge
+    /// samples never scan the fan-in table.
+    live_shards: usize,
+    /// Per-card planned stream counts for the plan being admitted (the
+    /// contention each admission is charged) — no allocation per
+    /// dispatch.
+    stream_scratch: Vec<(usize, usize)>,
+    /// Predicted-vs-realized fan-in error over multi-shard plans: the
+    /// live audit that admission charges what the planner priced.
+    priced_plans: usize,
+    prediction_abs_error: f64,
+    prediction_max_error: f64,
+    accum: ReportAccum,
+    preemptions: Vec<PreemptionRecord>,
+    /// Delivered-fault tallies for the report's `faults` block (`failed`
+    /// is filled in by [`Kernel::finish`]).
+    faults: FaultSummary,
+    /// Queue-depth integral for the time-weighted mean, up to
+    /// `last_event`. The timeline caps at [`TIMELINE_CAP`] samples;
+    /// `samples_total` keeps counting so the report can tell a capped
+    /// timeline from a complete one.
+    depth_integral: f64,
+    last_event: f64,
+    timeline: Vec<QueueSample>,
+    samples_total: usize,
+}
+
+impl<'k> Kernel<'k> {
+    fn new(
+        sim: &'k Simulation<'k>,
+        policy: &'k mut dyn DispatchPolicy,
+        requests: &[Request],
+        sink: &'k mut dyn TraceSink,
+        counters: &'k mut KernelCounters,
+    ) -> Kernel<'k> {
+        let mut fleet: Fleet = sim.fleet.build().expect("invalid fleet configuration");
         let t0 = requests[0].arrival;
-        let mut scaler = self.autoscale.map(Autoscaler::new);
+        let mut scaler = sim.autoscale.map(Autoscaler::new);
         match scaler.as_mut() {
             Some(s) => s.begin(&mut fleet, t0),
             None => {
@@ -525,78 +651,16 @@ impl<'a> Simulation<'a> {
                 }
             }
         }
-
-        // Read once: a policy that ranks by remaining work gets the
-        // queue's work index (O(log n) picks); every other policy skips
-        // the index's per-push and per-take upkeep.
-        let mut queue = if policy.ranks_by_remaining_work() {
-            PriorityQueue::with_work_index()
-        } else {
-            PriorityQueue::new()
-        };
-        // Whether hooks fire at all: the default NullSink opts out, so
-        // the untraced path pays nothing beyond this one bool.
-        let live = sink.enabled();
-        let total_pipelines = fleet.total_pipelines();
-        // Shards currently executing — maintained incrementally so gauge
-        // samples never scan the fan-in table.
-        let mut live_shards = 0usize;
-        let mut accum = ReportAccum::new(self.telemetry, policy.name(), &self.arrivals_label);
-        // Reusable CardView scratch: one snapshot per card, maintained
-        // incrementally. A card is recomputed only when an event marked
-        // it `stale` or its last snapshot still carried backlog (backlog
-        // decays with time; a zero-backlog card cannot change without an
-        // event naming it — every admission, completion, eviction,
-        // warm-up, and scaling decision marks its card).
-        let mut views: Vec<CardView> = fleet
-            .cards()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| card_view(i, c, t0))
-            .collect();
-        let mut stale: Vec<bool> = vec![false; views.len()];
-        // The arena: one working copy of every request plus its flat
-        // fan-in row, and the shard-slot slab. Replaces the per-run
-        // id-keyed tree — every lookup is a dense index carried by the
-        // event itself. Preemption removes shard slots; a completion
-        // whose shard id no longer matches a live slot is a tombstone and
-        // is dropped at delivery.
-        let mut table = FlightTable::new(requests, total_pipelines);
-        let mut preemptions: Vec<PreemptionRecord> = Vec::new();
-        // Reusable per-dispatch scratch for the plan's per-card shard
-        // counts (the claim asserts) and planned stream counts (the
-        // contention each admission is charged) — no tree allocation per
-        // dispatch.
-        let mut claim_scratch: Vec<(usize, usize)> = Vec::new();
-        let mut stream_scratch: Vec<(usize, usize)> = Vec::new();
-        // Predicted-vs-realized fan-in error over multi-shard plans: the
-        // live audit that admission charges what the planner priced.
-        let mut priced_plans = 0usize;
-        let mut prediction_abs_error = 0.0f64;
-        let mut prediction_max_error = 0.0f64;
-
-        // Queue-depth integral for the time-weighted mean. The timeline
-        // caps at TIMELINE_CAP samples; `samples_total` keeps counting so
-        // the report can tell a capped timeline from a complete one.
-        let mut timeline: Vec<QueueSample> = Vec::new();
-        let mut samples_total = 0usize;
-        let mut max_depth = 0usize;
-        let mut depth_integral = 0.0f64;
-        let mut last_event = t0;
-
         // Arrivals feed the heap lazily — popping arrival i schedules
-        // arrival i+1 — so the heap never holds more than
-        // (in-flight + 1) entries plus armed preemption timers.
+        // arrival i+1 — so the heap never holds more than (in-flight + 1)
+        // entries plus armed timers. The whole fault plan is scheduled
+        // up-front: fault times are fixed by the plan, not by simulation
+        // state. Times before the first arrival clamp to it (a fault
+        // cannot precede the trace).
         let mut events = EventQueue::new();
-        events.push_arrival(requests[0].arrival, 0, requests[0].id);
-        let mut arrivals_done = false;
-
-        // The whole fault plan is scheduled up-front: fault times are
-        // fixed by the plan, not by simulation state, so they belong in
-        // the heap from the start. Times before the first arrival clamp
-        // to it (a fault cannot precede the trace).
-        self.faults.validate(fleet.cards().len());
-        for f in self.faults.events() {
+        events.push_arrival(t0, 0, requests[0].id);
+        sim.faults.validate(fleet.cards().len());
+        for f in sim.faults.events() {
             let time = f.time.max(t0);
             match f.kind {
                 FaultKind::Death => events.push_card_death(time, f.card),
@@ -604,827 +668,673 @@ impl<'a> Simulation<'a> {
                 FaultKind::Revive { warmup_s } => events.push_card_revive(time, f.card, warmup_s),
             }
         }
-        // Delivered-fault counters for the report's `faults` block.
-        let mut fault_deaths = 0u64;
-        let mut fault_degrades = 0u64;
-        let mut fault_revivals = 0u64;
-        let mut fault_shards_lost = 0u64;
-        // Scratch for the shards a death evicts (collected before the
-        // table is mutated).
-        let mut death_victims: Vec<(u32, u32)> = Vec::new();
+        Kernel {
+            traced: sink.enabled(),
+            cost: CostModel::for_fleet(&fleet),
+            // Read once: a policy that ranks by remaining work gets the
+            // queue's work index (O(log n) picks); every other policy
+            // skips the index's per-push and per-take upkeep.
+            queue: if policy.ranks_by_remaining_work() {
+                PriorityQueue::with_work_index()
+            } else {
+                PriorityQueue::new()
+            },
+            accum: ReportAccum::new(sim.telemetry, policy.name(), &sim.arrivals_label),
+            table: FlightTable::new(requests, fleet.total_pipelines()),
+            views: fleet
+                .cards()
+                .iter()
+                .enumerate()
+                .map(|(i, c)| card_view(i, c, t0))
+                .collect(),
+            stale: vec![false; fleet.cards().len()],
+            sim,
+            policy,
+            sink,
+            counters,
+            fleet,
+            scaler,
+            t0,
+            events,
+            arrivals_done: false,
+            live_shards: 0,
+            stream_scratch: Vec::new(),
+            priced_plans: 0,
+            prediction_abs_error: 0.0,
+            prediction_max_error: 0.0,
+            preemptions: Vec::new(),
+            faults: FaultSummary::default(),
+            depth_integral: 0.0,
+            last_event: t0,
+            timeline: Vec::new(),
+            samples_total: 0,
+        }
+    }
 
-        while let Some((now, first)) = events.pop() {
-            // +1 for the entry just popped: the heap's peak population
-            // includes the event being delivered.
-            counters.peak_event_heap = counters.peak_event_heap.max(events.len() + 1);
-
-            // 1. Account the queue integral up to `now`.
-            depth_integral += queue.len() as f64 * (now - last_event);
-            last_event = now;
-
-            // 2. Deliver this event and every other event due at exactly
-            //    `now` (the heap already orders ties Arrival < Completion
-            //    < StepComplete < Preemption < Warmed < ScaleCheck <
-            //    CardDeath < CardDegrade < CardRevive, then card, then
-            //    id, then shard) before dispatching.
-            let mut next = Some(first);
-            while let Some(event) = next {
-                counters.events_by_kind[event.kind_index()] += 1;
-                match event {
-                    Event::Arrival { index } => {
-                        if index + 1 < requests.len() {
-                            let r = &requests[index + 1];
-                            events.push_arrival(r.arrival, index + 1, r.id);
-                        } else {
-                            arrivals_done = true;
-                        }
-                        let request = &table.requests[index];
-                        if live {
-                            sink.arrival(now, request);
-                        }
-                        if self.admission.admits(request.class, queue.len()) {
-                            queue.push(request, index as u32);
-                            if let Some(threshold) = self.preemption.wait_threshold_s {
-                                if request.class == RequestClass::Interactive {
-                                    events.push_preemption(now + threshold, request.id);
-                                }
-                            }
-                        } else {
-                            if live {
-                                sink.shed(now, request);
-                            }
-                            accum.reject(request);
-                        }
-                    }
-                    Event::Completion {
-                        id, shard, index, ..
-                    } => {
-                        // Find the shard's live slot via the dense index
-                        // the event carries; a missing slot is the stale
-                        // timer of a preempted shard — drop it.
-                        let fi = index as usize;
-                        debug_assert_eq!(table.requests[fi].id, id);
-                        let mut live_slot = false;
-                        if table.flights[fi].live {
-                            if let Some(slot) = table.unlink_shard(fi, shard) {
-                                live_slot = true;
-                                live_shards -= 1;
-                                stale[slot.card] = true;
-                                if live {
-                                    sink.shard_finish(
-                                        now,
-                                        id,
-                                        slot.shard,
-                                        slot.card,
-                                        slot.pipeline,
-                                    );
-                                }
-                                let meta = &table.flights[fi];
-                                if meta.shard_count == 0 && meta.queued_jobs == 0 {
-                                    // Fan-in: the current decode step's
-                                    // last outstanding shard drained.
-                                    table.requests[fi].steps_done += 1;
-                                    if table.requests[fi].steps_done == 1 {
-                                        table.flights[fi].first_step_finish = now;
-                                    }
-                                    let request = &table.requests[fi];
-                                    let finished_naturally =
-                                        request.steps_done >= request.decode.steps;
-                                    // `exits_after` never draws for a
-                                    // zero-probability plan, so one-shot
-                                    // traffic touches no RNG here.
-                                    let exits = !finished_naturally
-                                        && request.decode.exits_after(request.steps_done - 1);
-                                    if finished_naturally || exits {
-                                        let meta = &table.flights[fi];
-                                        let record = CompletedRequest {
-                                            request: *request,
-                                            dispatched: meta.dispatched,
-                                            finished: now,
-                                            first_step_finished: meta.first_step_finish,
-                                            card: slot.card,
-                                            pipeline: slot.pipeline,
-                                            shards: meta.max_width,
-                                        };
-                                        table.flights[fi].live = false;
-                                        table.remove_live(index);
-                                        if live {
-                                            sink.fan_in(now, &record);
-                                        }
-                                        accum.complete(&record);
-                                    } else {
-                                        // More steps owed. The remnant
-                                        // re-enters dispatch when this
-                                        // StepComplete delivers — ordered
-                                        // after every completion at `now`
-                                        // and before any preemption,
-                                        // scaling, or fault. The flight
-                                        // stays live with an empty shard
-                                        // chain, keeping the termination
-                                        // check honest.
-                                        events.push_step_complete(now, slot.card, id, index);
-                                    }
-                                }
-                            }
-                        }
-                        if !live_slot {
-                            counters.tombstoned_completions += 1;
-                        }
-                    }
-                    Event::StepComplete { card, id, index } => {
-                        let fi = index as usize;
-                        debug_assert_eq!(table.requests[fi].id, id);
-                        debug_assert!(
-                            table.flights[fi].live && table.flights[fi].shard_count == 0,
-                            "a step boundary found shards still in flight"
-                        );
-                        // Rewind the job cursor: the next step re-runs
-                        // the full attention grid.
-                        let jobs = table.requests[fi].shape.jobs();
-                        table.requests[fi].jobs_done = 0;
-                        table.requests[fi].jobs_end = jobs;
-                        if live {
-                            sink.step_complete(now, id, table.requests[fi].steps_done, card);
-                        }
-                        let whole_job_card = match self.decode_batching {
-                            DecodeBatching::Continuous => None,
-                            DecodeBatching::WholeJob => {
-                                let c = &fleet.cards()[card];
-                                (c.dispatchable(now) && c.idle_pipelines(now) > 0).then_some(card)
-                            }
-                        };
-                        if let Some(card) = whole_job_card {
-                            // Whole-job queueing: re-admit the full next
-                            // step on the fan-in card without a queue
-                            // round trip. Kind ordering delivers this
-                            // event after every completion at `now` and
-                            // before any fault or scaling decision, so
-                            // the pipeline the step just freed is still
-                            // free and the card still alive; a dead or
-                            // parked card falls through to the queue.
-                            let streams = {
-                                let c = &fleet.cards()[card];
-                                c.pipelines() - c.idle_pipelines(now) + 1
-                            };
-                            counters.dispatches += 1;
-                            counters.shards_dispatched += 1;
-                            if live {
-                                sink.dispatch(now, &table.requests[fi], &[card], None);
-                            }
-                            let admission = fleet.card_mut(card).admit_jobs(
-                                &table.requests[fi],
-                                0,
-                                jobs,
-                                streams,
-                                now,
-                            );
-                            table.requests[fi].pending_restart = false;
-                            let shard = table.flights[fi].next_shard;
-                            table.flights[fi].next_shard += 1;
-                            table.flights[fi].dispatched = now;
-                            table.append_shard(
-                                fi,
-                                ShardSlot {
-                                    shard,
-                                    card,
-                                    pipeline: admission.pipeline,
-                                    dispatched: now,
-                                    first_job: 0,
-                                    jobs,
-                                    admission,
-                                },
-                            );
-                            live_shards += 1;
-                            if live {
-                                sink.shard_start(
-                                    now,
-                                    id,
-                                    shard,
-                                    card,
-                                    admission.pipeline,
-                                    jobs,
-                                    admission.finish,
-                                );
-                            }
-                            events.push_completion(admission.finish, card, id, shard, index);
-                            stale[card] = true;
-                        } else {
-                            // Continuous batching: the remnant rejoins
-                            // the dispatch queue and competes with new
-                            // arrivals; the policy re-plans its width.
-                            table.flights[fi].queued_jobs = jobs;
-                            queue.push(&table.requests[fi], index);
-                        }
-                    }
-                    Event::Preemption { id } => {
-                        // Still waiting? (Dispatched or shed means the
-                        // timer outlived its request — a no-op.)
-                        if queue.contains((RequestClass::Interactive.rank(), id)) {
-                            let evicted_card = self.preempt_background(
-                                now,
-                                id,
-                                &cost,
-                                &mut fleet,
-                                &mut table,
-                                &mut queue,
-                                &mut preemptions,
-                                sink,
-                            );
-                            let evicted = evicted_card.is_some();
-                            if let Some(card) = evicted_card {
-                                live_shards -= 1;
-                                counters.preemption_evictions += 1;
-                                stale[card] = true;
-                            }
-                            // Re-arm only while a future firing could
-                            // still find a victim: after an eviction, or
-                            // while background work remains in flight.
-                            // With priority-ordered dispatch no *new*
-                            // background job can start while this
-                            // request waits, so a no-victim firing with
-                            // nothing in flight would re-fire as a no-op
-                            // every threshold forever.
-                            let background_in_flight = table.live.iter().any(|&i| {
-                                table.requests[i as usize].class == RequestClass::lowest()
-                                    && table.flights[i as usize].shard_count > 0
-                            });
-                            if evicted || background_in_flight {
-                                let threshold = self
-                                    .preemption
-                                    .wait_threshold_s
-                                    .expect("preemption events only exist when enabled");
-                                events.push_preemption(now + threshold, id);
-                            }
-                        }
-                    }
-                    // No state change: `Warmed` marks a card's
-                    // `available_at` passing, `ScaleCheck` an idle card
-                    // reaching park eligibility; both exist to force a
-                    // dispatch-and-autoscale pass at exactly that
-                    // boundary.
-                    Event::Warmed { card } => {
-                        // The card's `available_at` just passed: its view
-                        // flips from zero idle pipelines to dispatchable.
-                        stale[card] = true;
-                        if live {
-                            sink.warmed(now, card);
-                        }
-                    }
-                    Event::ScaleCheck => {}
-                    Event::CardDeath { card } => {
-                        // Killing an already-dead card is an uncounted
-                        // no-op (a storm may schedule overlapping deaths).
-                        if !fleet.cards()[card].dead() {
-                            // Every live shard on the card is lost. Its
-                            // checkpointed jobs survive (checkpoints live
-                            // off-card — the same durability preemption
-                            // assumes) and the unfinished tail requeues as
-                            // a remnant, exactly like a preemption, except
-                            // nothing is charged to the preemption
-                            // counters: a death is not a scheduling
-                            // decision. `table.live` is id-sorted, so the
-                            // eviction order is deterministic.
-                            death_victims.clear();
-                            for &fi in &table.live {
-                                let mut node = table.flights[fi as usize].head;
-                                while node != NIL {
-                                    let n = &table.shards.nodes[node as usize];
-                                    if n.slot.card == card {
-                                        death_victims.push((fi, n.slot.shard));
-                                    }
-                                    node = n.next;
-                                }
-                            }
-                            let shards_lost = death_victims.len();
-                            for &(fi, shard_id) in &death_victims {
-                                let fi_us = fi as usize;
-                                let slot = table
-                                    .unlink_shard(fi_us, shard_id)
-                                    .expect("death victim was just found live");
-                                live_shards -= 1;
-                                let done = fleet.card_mut(card).fail_evict(
-                                    &slot.admission,
-                                    slot.dispatched,
-                                    now,
-                                );
-                                let done = done.min(slot.jobs - 1);
-                                // The remnant owes one restart penalty;
-                                // its next admission pays it. Unlike
-                                // preemption, `Request::preemptions` is
-                                // not bumped — the per-card preemption
-                                // invariants stay exact under faults.
-                                table.requests[fi_us].pending_restart = true;
-                                let a2 = slot.first_job + done;
-                                let b2 = slot.first_job + slot.jobs;
-                                let rank = table.requests[fi_us].rank_key();
-                                let (jd, je) = if queue.remove(rank).is_some() {
-                                    // Merge with an already-queued remnant
-                                    // (an earlier shard of this request
-                                    // died or was preempted): keep the
-                                    // combined job count anchored at the
-                                    // lower offset.
-                                    let r = &table.requests[fi_us];
-                                    let jobs = (r.jobs_end - r.jobs_done) + (b2 - a2);
-                                    let jd = r.jobs_done.min(a2);
-                                    (jd, jd + jobs)
-                                } else {
-                                    (a2, b2)
-                                };
-                                table.requests[fi_us].jobs_done = jd;
-                                table.requests[fi_us].jobs_end = je;
-                                table.flights[fi_us].queued_jobs = je - jd;
-                                queue.push(&table.requests[fi_us], fi);
-                            }
-                            fleet.card_mut(card).fail(now);
-                            stale[card] = true;
-                            fault_deaths += 1;
-                            fault_shards_lost += shards_lost as u64;
-                            if live {
-                                sink.card_death(now, card, shards_lost);
-                            }
-                        }
-                    }
-                    Event::CardDegrade { card, factor } => {
-                        fleet.card_mut(card).degrade_by(factor);
-                        // Re-snapshot the shared planner model so shard
-                        // pricing and cost-aware preemption keep charging
-                        // the same floats admission now does.
-                        cost = CostModel::for_fleet(&fleet);
-                        stale[card] = true;
-                        fault_degrades += 1;
-                        if live {
-                            sink.card_degrade(now, card, factor);
-                        }
-                    }
-                    Event::CardRevive { card, warmup_s } => {
-                        // Reviving a live card is an uncounted no-op.
-                        if fleet.cards()[card].dead() {
-                            fleet.card_mut(card).revive(now, warmup_s);
-                            events.push_warmed(now + warmup_s, card);
-                            stale[card] = true;
-                            fault_revivals += 1;
-                            if live {
-                                sink.card_revive(now, card);
-                            }
-                        }
-                    }
-                }
-                next = (events.next_time() == Some(now))
-                    .then(|| events.pop().expect("peeked event must pop").1);
+    /// Request `index` arrives: the next arrival is scheduled, then the
+    /// request is queued (arming its preemption timer if it is
+    /// interactive) or shed by admission control.
+    fn arrival(&mut self, now: f64, index: usize) {
+        match self.table.requests.get(index + 1) {
+            Some(r) => self.events.push_arrival(r.arrival, index + 1, r.id),
+            None => self.arrivals_done = true,
+        }
+        let request = &self.table.requests[index];
+        if self.traced {
+            self.sink.arrival(now, request);
+        }
+        if !self.sim.admission.admits(request.class, self.queue.len()) {
+            if self.traced {
+                self.sink.shed(now, request);
             }
+            self.accum.reject(request);
+            return;
+        }
+        self.queue.push(request, index as u32);
+        match self.sim.preemption.wait_threshold_s {
+            Some(threshold) if request.class == RequestClass::Interactive => {
+                self.events.push_preemption(now + threshold, request.id);
+            }
+            _ => {}
+        }
+    }
 
-            // 3. Dispatch while the policy finds work and capacity. Each
-            //    plan fans the request's jobs out across its pipelines,
-            //    one shard per entry (whole-request dispatch is the
-            //    one-entry plan).
-            //
-            //    Views refresh incrementally: only cards an event marked
-            //    stale, or whose last snapshot still carried backlog
-            //    (backlog decays with wall time, so the snapshot is out
-            //    of date by construction). A card with zero backlog has
-            //    every pipeline free past `next_free`, so nothing about
-            //    it changes until an event names it — and every such
-            //    event marks it stale above.
-            for c in 0..views.len() {
-                if stale[c] || views[c].backlog_seconds > 0.0 {
-                    views[c] = card_view(c, &fleet.cards()[c], now);
-                    stale[c] = false;
-                }
-            }
-            // Debug cross-check: the incremental views must be
-            // indistinguishable from the full recompute the loop used to
-            // pay per batch.
-            #[cfg(debug_assertions)]
-            for (c, v) in views.iter().enumerate() {
-                debug_assert_eq!(
-                    *v,
-                    card_view(c, &fleet.cards()[c], now),
-                    "dirty-card view diverged on card {c}"
-                );
-            }
-            while let Some((qi, plan)) =
-                policy.choose(now, queue.view(&table.requests), &views, &cost)
-            {
-                assert!(
-                    !plan.is_empty(),
-                    "policy {} returned an empty shard plan",
-                    policy.name()
-                );
-                let group = views[plan[0]].group;
-                claim_scratch.clear();
-                for &card in &plan {
-                    assert!(
-                        views[card].group == group,
-                        "policy {} sharded one request across card groups",
-                        policy.name()
-                    );
-                    match claim_scratch.binary_search_by_key(&card, |e| e.0) {
-                        Ok(pos) => claim_scratch[pos].1 += 1,
-                        Err(pos) => claim_scratch.insert(pos, (card, 1)),
-                    }
-                }
-                for &(card, shards) in &claim_scratch {
-                    assert!(
-                        shards <= views[card].idle_pipelines,
-                        "policy {} dispatched to a busy card",
-                        policy.name()
-                    );
-                }
-                let fi = queue.take(qi) as usize;
-                let id = table.requests[fi].id;
-                // A shard carries at least one job: cap the fan-out at
-                // the fragment's remaining job count.
-                let width = plan.len().min(table.requests[fi].remaining_jobs());
-                // Price the realized plan before admission mutates any
-                // card, so the predicted-vs-realized audit sees exactly
-                // the state the planner saw.
-                let predicted = (width > 1)
-                    .then(|| cost.price_plan(&table.requests[fi], &plan[..width], &views, now));
-                counters.dispatches += 1;
-                counters.shards_dispatched += width as u64;
-                if live {
-                    sink.dispatch(
-                        now,
-                        &table.requests[fi],
-                        &plan[..width],
-                        predicted.as_ref().map(|p| p.fan_in),
-                    );
-                }
-                // The contention each shard is charged: pipelines busy
-                // before this plan plus every shard the plan lands on
-                // that card — the planner's price, not the stale
-                // per-admission count that let earlier siblings miss the
-                // shards about to join them.
-                crate::cost::plan_stream_counts_into(&plan[..width], &views, &mut stream_scratch);
-                // A requeued remnant rejoins its live fan-in record.
-                debug_assert!(
-                    table.flights[fi].queued_jobs == 0
-                        || table.flights[fi].queued_jobs == table.requests[fi].remaining_jobs(),
-                    "queued remnant out of sync with the fan-in table"
-                );
-                if !table.flights[fi].live {
-                    table.flights[fi].live = true;
-                    table.insert_live(fi as u32);
-                }
-                table.flights[fi].queued_jobs = 0;
-                table.flights[fi].dispatched = now;
-                // Spread the jobs as evenly as the grid divides: the
-                // first `total % width` shards carry one extra job.
-                let total = table.requests[fi].remaining_jobs();
-                let (base, extra) = crate::cost::job_split(total, width);
-                let mut first_job = table.requests[fi].jobs_done;
-                let mut realized = now;
-                for (i, &card) in plan[..width].iter().enumerate() {
-                    let jobs = base + usize::from(i < extra);
-                    let streams = stream_scratch[stream_scratch
-                        .binary_search_by_key(&card, |e| e.0)
-                        .expect("every plan card was counted")]
-                    .1;
-                    let admission = fleet.card_mut(card).admit_jobs(
-                        &table.requests[fi],
-                        first_job,
-                        jobs,
-                        streams,
-                        now,
-                    );
-                    // Each preemption is paid for exactly once: the
-                    // remnant's first shard carried any pending restart,
-                    // its siblings (and later admissions) must not.
-                    table.requests[fi].pending_restart = false;
-                    realized = realized.max(admission.finish);
-                    let shard = table.flights[fi].next_shard;
-                    table.flights[fi].next_shard += 1;
-                    table.append_shard(
-                        fi,
-                        ShardSlot {
-                            shard,
-                            card,
-                            pipeline: admission.pipeline,
-                            dispatched: now,
-                            first_job,
-                            jobs,
-                            admission,
-                        },
-                    );
-                    live_shards += 1;
-                    if live {
-                        sink.shard_start(
-                            now,
-                            id,
-                            shard,
-                            card,
-                            admission.pipeline,
-                            jobs,
-                            admission.finish,
-                        );
-                    }
-                    events.push_completion(admission.finish, card, id, shard, fi as u32);
-                    first_job += jobs;
-                    // Only the dispatched card's state changed.
-                    views[card] = card_view(card, &fleet.cards()[card], now);
-                }
-                table.flights[fi].max_width = table.flights[fi]
-                    .max_width
-                    .max(table.flights[fi].shard_count);
-                if let Some(p) = predicted {
-                    let error = (realized - p.fan_in).abs();
-                    priced_plans += 1;
-                    prediction_abs_error += error;
-                    prediction_max_error = prediction_max_error.max(error);
-                }
-            }
+    /// A shard drained. A shard id with no live slot is the stale timer
+    /// of an evicted shard — dropped. The request's last outstanding
+    /// shard fans in its decode step: the request completes, or, with
+    /// more steps owed, a [`Event::StepComplete`] at `now` re-enters it.
+    fn completion(&mut self, now: f64, id: u64, shard: u32, index: u32) {
+        let fi = index as usize;
+        debug_assert_eq!(self.table.requests[fi].id, id);
+        let Some(slot) = self.table.unlink_shard(fi, shard) else {
+            self.counters.tombstoned_completions += 1;
+            return;
+        };
+        self.live_shards -= 1;
+        self.stale[slot.card] = true;
+        if self.traced {
+            self.sink
+                .shard_finish(now, id, slot.shard, slot.card, slot.pipeline);
+        }
+        let meta = &mut self.table.flights[fi];
+        if meta.shard_count > 0 || meta.queued_jobs > 0 {
+            return;
+        }
+        let request = &mut self.table.requests[fi];
+        request.steps_done += 1;
+        if request.steps_done == 1 {
+            meta.first_step_finish = now;
+        }
+        // `exits_after` never draws for a zero-probability plan, so
+        // one-shot traffic touches no RNG here.
+        let finished_naturally = request.steps_done >= request.decode.steps;
+        if !finished_naturally && !request.decode.exits_after(request.steps_done - 1) {
+            // More steps owed. The step boundary is delivered after every
+            // completion at `now` and before any preemption, scaling or
+            // fault; the flight stays live with an empty shard chain,
+            // keeping the termination check honest.
+            self.events.push_step_complete(now, slot.card, id, index);
+            return;
+        }
+        meta.live = false;
+        let record = CompletedRequest {
+            request: *request,
+            dispatched: meta.dispatched,
+            finished: now,
+            first_step_finished: meta.first_step_finish,
+            card: slot.card,
+            pipeline: slot.pipeline,
+            shards: meta.max_width,
+        };
+        self.table.remove_live(index);
+        if self.traced {
+            self.sink.fan_in(now, &record);
+        }
+        self.accum.complete(&record);
+    }
 
-            // 3½. Autoscaler feedback, after capacity decisions settle.
-            // The sink sees fresh decisions by diffing the controller's
-            // log around the call.
-            if let Some(s) = scaler.as_mut() {
-                let logged = s.log().len();
-                s.evaluate(now, queue.len(), &mut fleet, &mut events);
-                for e in &s.log()[logged..] {
-                    // Power flips change the card's view (idle pipelines,
-                    // dispatchability) without any backlog to betray it.
-                    stale[e.card] = true;
-                    if live {
-                        sink.scaled(e);
-                    }
-                }
+    /// A non-final decode step fanned in on `card`: the job cursor
+    /// rewinds to the full attention grid and the next step re-enters
+    /// service — re-admitted in place on `card` under
+    /// [`DecodeBatching::WholeJob`] while the card can take it, otherwise
+    /// through the dispatch queue, where the policy re-plans its width.
+    fn step_complete(&mut self, now: f64, card: usize, id: u64, index: u32) {
+        let fi = index as usize;
+        debug_assert_eq!(self.table.requests[fi].id, id);
+        debug_assert!(
+            self.table.flights[fi].live && self.table.flights[fi].shard_count == 0,
+            "a step boundary found shards still in flight"
+        );
+        let request = &mut self.table.requests[fi];
+        let jobs = request.shape.jobs();
+        request.jobs_done = 0;
+        request.jobs_end = jobs;
+        if self.traced {
+            self.sink.step_complete(now, id, request.steps_done, card);
+        }
+        // Kind ordering delivers this event before any fault or scaling
+        // decision at `now`, so the pipeline the step just freed is still
+        // free; a dead or parked card falls through to the queue.
+        let c = &self.fleet.cards()[card];
+        if self.sim.decode_batching == DecodeBatching::WholeJob
+            && c.dispatchable(now)
+            && c.idle_pipelines(now) > 0
+        {
+            let streams = c.pipelines() - c.idle_pipelines(now) + 1;
+            self.counters.dispatches += 1;
+            self.counters.shards_dispatched += 1;
+            if self.traced {
+                self.sink
+                    .dispatch(now, &self.table.requests[fi], &[card], None);
             }
+            self.table.flights[fi].dispatched = now;
+            self.start_shard(now, fi, card, 0, jobs, streams);
+        } else {
+            self.table.flights[fi].queued_jobs = jobs;
+            self.queue.push(&self.table.requests[fi], index);
+        }
+    }
 
-            // 4. Sample the queue after the event settles.
-            max_depth = max_depth.max(queue.len());
-            samples_total += 1;
-            if timeline.len() < TIMELINE_CAP {
-                timeline.push(QueueSample {
-                    time: now,
-                    depth: queue.len(),
-                });
+    /// Interactive request `waiting` outwaited the dispatcher's patience.
+    /// If it is still queued (dispatched or shed means the timer outlived
+    /// its request), one in-flight background shard is checkpointed and
+    /// requeued; the freed pipeline is dispatched in this batch.
+    fn preemption(&mut self, now: f64, waiting: u64) {
+        let key = (RequestClass::Interactive.rank(), waiting);
+        if !self.queue.contains(key) {
+            return;
+        }
+        let victim = self.pick_victim(now);
+        if let Some((fi, shard, victim_cost)) = victim {
+            let (slot, done) = self.requeue_remnant(now, fi, shard, true);
+            self.counters.preemption_evictions += 1;
+            let record = PreemptionRecord {
+                time: now,
+                preempted: self.table.requests[fi].id,
+                waiting,
+                card: slot.card,
+                jobs_checkpointed: done,
+            };
+            if self.traced {
+                self.sink
+                    .preempted(now, &record, slot.shard, slot.pipeline, victim_cost);
             }
+            self.preemptions.push(record);
+        }
+        // Re-arm only while a future firing could still find a victim:
+        // after an eviction, or while background work remains in flight.
+        // With priority-ordered dispatch no *new* background job can start
+        // while this request waits, so a no-victim firing with nothing in
+        // flight would re-fire as a no-op every threshold forever.
+        let background_in_flight = self.table.live.iter().any(|&i| {
+            self.table.requests[i as usize].class == RequestClass::lowest()
+                && self.table.flights[i as usize].shard_count > 0
+        });
+        if victim.is_some() || background_in_flight {
+            let threshold = self
+                .sim
+                .preemption
+                .wait_threshold_s
+                .expect("preemption events only exist when enabled");
+            self.events.push_preemption(now + threshold, waiting);
+        }
+    }
 
-            // 4½. Gauge sample for sinks and streaming telemetry — the
-            // O(cards) fleet scan is skipped entirely on the default
-            // (NullSink, Exact) path.
-            if live || self.telemetry == TelemetryMode::Streaming {
-                let gauges = GaugeSample {
-                    queue_depth: queue.len(),
-                    in_flight_shards: live_shards,
-                    powered_cards: fleet.powered_cards(),
-                    utilization: live_shards as f64 / total_pipelines as f64,
-                    active_energy_joules: fleet.active_energy_joules(),
+    /// The in-flight background shard a preemption evicts — arena index,
+    /// shard id, and its eviction price under
+    /// [`PreemptionControl::cost_aware`] — or `None` when there is none.
+    ///
+    /// The cheapest eviction wins ([`CostModel::preemption_cost`]: work
+    /// thrown away + restart + forfeited swap), ties going to the
+    /// youngest (highest request id, then highest shard id: the one that
+    /// has banked the least work). [`PreemptionControl::after_wait`]'s
+    /// youngest-first rule is this scan with every price equal.
+    fn pick_victim(&self, now: f64) -> Option<(usize, u32, Option<f64>)> {
+        let priced = self.sim.preemption.cost_aware_victims;
+        let mut best: Option<(f64, u64, u32, usize)> = None;
+        for &fi in &self.table.live {
+            let request = &self.table.requests[fi as usize];
+            if request.class != RequestClass::lowest() {
+                continue;
+            }
+            for slot in self.table.shards_of(fi as usize) {
+                let a = &slot.admission;
+                let price = if priced {
+                    // The re-swap term applies only when eviction would
+                    // tear a swap still streaming in — the same condition
+                    // under which `Card::preempt` drops the residency.
+                    self.cost.preemption_cost(
+                        slot.card,
+                        &request.shape,
+                        now - slot.dispatched,
+                        a.stall_seconds,
+                        a.per_job_seconds,
+                        slot.jobs,
+                        a.swap_seconds > 0.0 && now < slot.dispatched + a.swap_seconds,
+                    )
+                } else {
+                    0.0
                 };
-                if live {
-                    sink.gauges(now, &gauges);
+                let better = best.is_none_or(|(b, id, shard, _)| {
+                    let younger = (id, shard).cmp(&(request.id, slot.shard));
+                    price.total_cmp(&b).then(younger).is_lt()
+                });
+                if better {
+                    best = Some((price, request.id, slot.shard, fi as usize));
                 }
-                accum.gauges(now, &gauges);
-            }
-
-            // 5. Stop once the outcome is final: every arrival delivered,
-            //    nothing queued, nothing in flight. The heap may still
-            //    hold stale preemption timers and warm-up markers — all
-            //    no-ops from here — and letting them tick would push
-            //    `last_event` past the last completion, silently charging
-            //    phantom powered/idle time to the energy accounting.
-            if arrivals_done && queue.is_empty() && table.live.is_empty() {
-                break;
             }
         }
+        best.map(|(price, _, shard, fi)| (fi, shard, priced.then_some(price)))
+    }
+
+    fn warmed(&mut self, now: f64, card: usize) {
+        // The card's `available_at` just passed: its view flips from zero
+        // idle pipelines to dispatchable.
+        self.stale[card] = true;
+        if self.traced {
+            self.sink.warmed(now, card);
+        }
+    }
+
+    /// A card dies. Every live shard on it is lost: its checkpointed
+    /// jobs survive (checkpoints live off-card — the same durability
+    /// preemption assumes) and its unfinished tail requeues through the
+    /// release path preemption uses, except that nothing is charged to
+    /// the preemption counters: a death is not a scheduling decision.
+    /// Killing an already-dead card is an uncounted no-op (a storm may
+    /// schedule overlapping deaths).
+    fn card_death(&mut self, now: f64, card: usize) {
+        if self.fleet.cards()[card].dead() {
+            return;
+        }
+        // `table.live` is id-sorted and evictions leave it unchanged, so
+        // the eviction order is deterministic.
+        let mut lost = 0;
+        for pos in 0..self.table.live.len() {
+            let fi = self.table.live[pos] as usize;
+            loop {
+                let on_card = self.table.shards_of(fi).find(|s| s.card == card);
+                let Some(shard) = on_card.map(|s| s.shard) else {
+                    break;
+                };
+                self.requeue_remnant(now, fi, shard, false);
+                lost += 1;
+            }
+        }
+        self.fleet.card_mut(card).fail(now);
+        self.stale[card] = true;
+        self.faults.card_deaths += 1;
+        self.faults.shards_lost += lost as u64;
+        if self.traced {
+            self.sink.card_death(now, card, lost);
+        }
+    }
+
+    fn card_degrade(&mut self, now: f64, card: usize, factor: f64) {
+        self.fleet.card_mut(card).degrade_by(factor);
+        // Re-snapshot the shared planner model so shard pricing and
+        // cost-aware preemption keep charging the same floats admission
+        // now does.
+        self.cost = CostModel::for_fleet(&self.fleet);
+        self.stale[card] = true;
+        self.faults.degrades += 1;
+        if self.traced {
+            self.sink.card_degrade(now, card, factor);
+        }
+    }
+
+    /// Revives a dead card (cold, after a warm-up); reviving a live card
+    /// is an uncounted no-op.
+    fn card_revive(&mut self, now: f64, card: usize, warmup_s: f64) {
+        if !self.fleet.cards()[card].dead() {
+            return;
+        }
+        self.fleet.card_mut(card).revive(now, warmup_s);
+        self.events.push_warmed(now + warmup_s, card);
+        self.stale[card] = true;
+        self.faults.revivals += 1;
+        if self.traced {
+            self.sink.card_revive(now, card);
+        }
+    }
+
+    /// Dispatches while the policy finds work and capacity, after the
+    /// views refresh incrementally: only cards an event marked stale, or
+    /// whose last snapshot still carried backlog (backlog decays with
+    /// wall time, so the snapshot is out of date by construction). A card
+    /// with zero backlog has every pipeline free past `next_free`, so
+    /// nothing about it changes until an event names it — and every such
+    /// event marks it stale.
+    fn dispatch_round(&mut self, now: f64) {
+        for c in 0..self.views.len() {
+            if self.stale[c] || self.views[c].backlog_seconds > 0.0 {
+                self.views[c] = card_view(c, &self.fleet.cards()[c], now);
+                self.stale[c] = false;
+            }
+        }
+        // Debug cross-check: the incremental views must be
+        // indistinguishable from a full recompute.
+        #[cfg(debug_assertions)]
+        for (c, v) in self.views.iter().enumerate() {
+            debug_assert_eq!(
+                *v,
+                card_view(c, &self.fleet.cards()[c], now),
+                "dirty-card view diverged on card {c}"
+            );
+        }
+        while let Some((qi, plan)) = self.policy.choose(
+            now,
+            self.queue.view(&self.table.requests),
+            &self.views,
+            &self.cost,
+        ) {
+            self.dispatch(now, qi, &plan);
+        }
+    }
+
+    /// Runs one policy decision: takes queue entry `qi` and fans its jobs
+    /// out across `plan`, one shard per entry, as evenly as the grid
+    /// divides (the first `total % width` shards carry one extra job).
+    fn dispatch(&mut self, now: f64, qi: usize, plan: &[usize]) {
+        let name = self.policy.name();
+        assert!(
+            !plan.is_empty(),
+            "policy {name} returned an empty shard plan"
+        );
+        let group = self.views[plan[0]].group;
+        assert!(
+            plan.iter().all(|&c| self.views[c].group == group),
+            "policy {name} sharded one request across card groups"
+        );
+        // Planned streams past a card's pipeline count mean the plan
+        // claimed more pipelines than the card had idle.
+        let streams = &mut self.stream_scratch;
+        crate::cost::plan_stream_counts_into(plan, &self.views, streams);
+        assert!(
+            streams.iter().all(|&(c, s)| s <= self.views[c].pipelines),
+            "policy {name} dispatched to a busy card"
+        );
+        let fi = self.queue.take(qi) as usize;
+        // A shard carries at least one job: cap the fan-out at the
+        // fragment's remaining job count.
+        let total = self.table.requests[fi].remaining_jobs();
+        let width = plan.len().min(total);
+        if width < plan.len() {
+            crate::cost::plan_stream_counts_into(&plan[..width], &self.views, streams);
+        }
+        let plan = &plan[..width];
+        // Price the realized plan before admission mutates any card, so
+        // the predicted-vs-realized audit sees exactly the state the
+        // planner saw.
+        let request = &self.table.requests[fi];
+        let predicted = (width > 1).then(|| self.cost.price_plan(request, plan, &self.views, now));
+        self.counters.dispatches += 1;
+        self.counters.shards_dispatched += width as u64;
+        if self.traced {
+            self.sink
+                .dispatch(now, request, plan, predicted.as_ref().map(|p| p.fan_in));
+        }
+        // A requeued remnant rejoins its live fan-in record.
+        debug_assert!(
+            self.table.flights[fi].queued_jobs == 0 || self.table.flights[fi].queued_jobs == total,
+            "queued remnant out of sync with the fan-in table"
+        );
+        if !self.table.flights[fi].live {
+            self.table.flights[fi].live = true;
+            self.table.insert_live(fi as u32);
+        }
+        self.table.flights[fi].queued_jobs = 0;
+        self.table.flights[fi].dispatched = now;
+        let (base, extra) = crate::cost::job_split(total, width);
+        let mut first_job = self.table.requests[fi].jobs_done;
+        let mut realized = now;
+        for (i, &card) in plan.iter().enumerate() {
+            let jobs = base + usize::from(i < extra);
+            let streams = self.stream_scratch[self
+                .stream_scratch
+                .binary_search_by_key(&card, |e| e.0)
+                .expect("every plan card was counted")]
+            .1;
+            realized = realized.max(self.start_shard(now, fi, card, first_job, jobs, streams));
+            first_job += jobs;
+        }
+        let meta = &mut self.table.flights[fi];
+        meta.max_width = meta.max_width.max(meta.shard_count);
+        if let Some(p) = predicted {
+            let error = (realized - p.fan_in).abs();
+            self.priced_plans += 1;
+            self.prediction_abs_error += error;
+            self.prediction_max_error = self.prediction_max_error.max(error);
+        }
+    }
+
+    /// Admits `jobs` jobs of flight `fi`, from `first_job` on, as one new
+    /// shard on `card`, charged `streams` concurrent streams, and returns
+    /// its finish. The one place a shard starts: plan dispatch and
+    /// whole-job step re-admission both come here.
+    fn start_shard(
+        &mut self,
+        now: f64,
+        fi: usize,
+        card: usize,
+        first_job: usize,
+        jobs: usize,
+        streams: usize,
+    ) -> f64 {
+        let request = &mut self.table.requests[fi];
+        let admission = self
+            .fleet
+            .card_mut(card)
+            .admit_jobs(request, first_job, jobs, streams, now);
+        // Each eviction is paid for exactly once: the remnant's first
+        // shard carried any pending restart, its siblings (and later
+        // admissions) must not.
+        request.pending_restart = false;
+        let id = request.id;
+        let meta = &mut self.table.flights[fi];
+        let shard = meta.next_shard;
+        meta.next_shard += 1;
+        let pipeline = admission.pipeline;
+        self.table.append_shard(
+            fi,
+            ShardSlot {
+                shard,
+                card,
+                pipeline,
+                dispatched: now,
+                first_job,
+                jobs,
+                admission,
+            },
+        );
+        self.live_shards += 1;
+        if self.traced {
+            self.sink
+                .shard_start(now, id, shard, card, pipeline, jobs, admission.finish);
+        }
+        self.events
+            .push_completion(admission.finish, card, id, shard, fi as u32);
+        // Only the admitting card's state changed.
+        self.views[card] = card_view(card, &self.fleet.cards()[card], now);
+        admission.finish
+    }
+
+    /// Evicts live shard `shard` of flight `fi` at `now` — a preemption
+    /// when `preempted`, else its card's death — and requeues the
+    /// unfinished tail. Returns the evicted slot and the jobs it
+    /// checkpointed.
+    ///
+    /// The arena record becomes the remnant in place: while a remnant
+    /// waits in the queue the record holds exactly its job range
+    /// (dispatch restores last-dispatched state), and it owes one restart
+    /// penalty that its first admission pays. If a remnant of the same
+    /// request is already waiting (an earlier shard was evicted too), the
+    /// two merge: the merged entry keeps the exact job *count*, anchored
+    /// at the lower offset, though after a merge of disjoint ranges the
+    /// enumeration offsets are approximate (evicted shards already re-run
+    /// lost partial jobs, so job identity there is best-effort by
+    /// design). Sibling shards keep running; the fan-in table joins them
+    /// back up with the remnant when it re-dispatches.
+    fn requeue_remnant(
+        &mut self,
+        now: f64,
+        fi: usize,
+        shard: u32,
+        preempted: bool,
+    ) -> (ShardSlot, usize) {
+        let slot = self
+            .table
+            .unlink_shard(fi, shard)
+            .expect("evicted shard is live");
+        self.live_shards -= 1;
+        self.stale[slot.card] = true;
+        let card = self.fleet.card_mut(slot.card);
+        let drained = if preempted {
+            card.preempt(&slot.admission, slot.dispatched, now)
+        } else {
+            card.fail_evict(&slot.admission, slot.dispatched, now)
+        };
+        // `floor` keeps the checkpoint strictly below the shard's job
+        // count; the min guards the float edge where the division lands
+        // exactly on it.
+        let done = drained.min(slot.jobs - 1);
+        let (a, b) = (slot.first_job + done, slot.first_job + slot.jobs);
+        let r = &mut self.table.requests[fi];
+        // A death leaves `Request::preemptions` alone, keeping the
+        // per-card preemption invariants exact under faults.
+        r.preemptions += u32::from(preempted);
+        r.pending_restart = true;
+        (r.jobs_done, r.jobs_end) = if self.queue.remove(r.rank_key()).is_some() {
+            // The queued remnant's range is read before it is overwritten;
+            // the ranges are disjoint, so the sum never walks off the grid.
+            let jd = r.jobs_done.min(a);
+            (jd, jd + r.remaining_jobs() + (b - a))
+        } else {
+            (a, b)
+        };
+        self.table.flights[fi].queued_jobs = r.remaining_jobs();
+        self.queue.push(&self.table.requests[fi], fi as u32);
+        (slot, done)
+    }
+
+    /// Settles the batch after dispatch: autoscaler feedback, the queue
+    /// sample, and the gauge sample.
+    fn settle(&mut self, now: f64) {
+        // The sink sees fresh scaling decisions by diffing the
+        // controller's log around the call. Power flips change a card's
+        // view (idle pipelines, dispatchability) without any backlog to
+        // betray it.
+        if let Some(s) = self.scaler.as_mut() {
+            let logged = s.log().len();
+            s.evaluate(now, self.queue.len(), &mut self.fleet, &mut self.events);
+            for e in &s.log()[logged..] {
+                self.stale[e.card] = true;
+                if self.traced {
+                    self.sink.scaled(e);
+                }
+            }
+        }
+        let depth = self.queue.len();
+        self.counters.peak_queue_depth = self.counters.peak_queue_depth.max(depth);
+        self.samples_total += 1;
+        if self.timeline.len() < TIMELINE_CAP {
+            self.timeline.push(QueueSample { time: now, depth });
+        }
+        // The O(cards) fleet scan is skipped entirely on the default
+        // (NullSink, Exact) path.
+        if self.traced || self.sim.telemetry == TelemetryMode::Streaming {
+            let gauges = GaugeSample {
+                queue_depth: depth,
+                in_flight_shards: self.live_shards,
+                powered_cards: self.fleet.powered_cards(),
+                utilization: self.live_shards as f64 / self.fleet.total_pipelines() as f64,
+                active_energy_joules: self.fleet.active_energy_joules(),
+            };
+            if self.traced {
+                self.sink.gauges(now, &gauges);
+            }
+            self.accum.gauges(now, &gauges);
+        }
+    }
+
+    /// Fails what a dead fleet stranded, closes the power clocks and
+    /// builds the report.
+    fn finish(mut self) -> ServeReport {
         // A drained run leaves nothing queued — unless faults killed the
         // entire fleet, in which case the heap exhausts with work still
         // waiting and no card to run it. Those requests fail: a terminal
         // state distinct from rejection (they were admitted) that keeps
         // the conservation law exact.
-        if !queue.is_empty() {
+        while !self.queue.is_empty() {
             assert!(
-                fleet.cards().iter().all(Card::dead),
+                self.fleet.cards().iter().all(Card::dead),
                 "drained simulation left requests queued"
             );
-            while !queue.is_empty() {
-                let fi = queue.take(0) as usize;
-                if table.flights[fi].live {
-                    // A remnant whose sibling shards died too: clear its
-                    // fan-in row so the live index empties.
-                    table.flights[fi].live = false;
-                    table.flights[fi].queued_jobs = 0;
-                    table.remove_live(fi as u32);
-                }
-                if live {
-                    sink.failed(last_event, &table.requests[fi]);
-                }
-                accum.fail(&table.requests[fi]);
+            let fi = self.queue.take(0) as usize;
+            if self.table.flights[fi].live {
+                // A remnant whose sibling shards died too: clear its
+                // fan-in row so the live index empties.
+                self.table.flights[fi].live = false;
+                self.table.flights[fi].queued_jobs = 0;
+                self.table.remove_live(fi as u32);
             }
+            if self.traced {
+                self.sink.failed(self.last_event, &self.table.requests[fi]);
+            }
+            self.accum.fail(&self.table.requests[fi]);
         }
         assert!(
-            table.live.is_empty(),
+            self.table.live.is_empty(),
             "drained simulation left work in flight"
         );
-        counters.peak_queue_depth = max_depth;
-        counters.sim_span_s = last_event - t0;
-
-        // Close every card's powered clock at the last event — with the
-        // early stop above, the last completion — so powered/idle
-        // accounting covers exactly the reported span.
-        for i in 0..fleet.cards().len() {
-            fleet.card_mut(i).close_power_clock(last_event);
-        }
-
         assert_eq!(
-            accum.offered(),
-            requests.len(),
+            self.accum.offered(),
+            self.table.requests.len(),
             "every request completes, is shed, or fails"
         );
+        self.counters.sim_span_s = self.last_event - self.t0;
+        // Close every card's powered clock at the last event — with the
+        // early stop, the last completion — so powered/idle accounting
+        // covers exactly the reported span.
+        for i in 0..self.fleet.cards().len() {
+            self.fleet.card_mut(i).close_power_clock(self.last_event);
+        }
         // The faults block exists exactly when a plan was injected, so
         // fault-free reports keep their bytes.
-        let faults = (!self.faults.is_empty()).then(|| FaultSummary {
-            card_deaths: fault_deaths,
-            degrades: fault_degrades,
-            revivals: fault_revivals,
-            shards_lost: fault_shards_lost,
-            failed: accum.failed(),
+        let faults = (!self.sim.faults.is_empty()).then(|| FaultSummary {
+            failed: self.accum.failed(),
+            ..self.faults
         });
-        let span = accum.span(t0);
-        accum.into_report(
+        let span = self.accum.span(self.t0);
+        let cards = self
+            .fleet
+            .cards()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| card_summary(i, c, span))
+            .collect();
+        let priced = self.priced_plans;
+        self.accum.into_report(
             QueueSummary {
-                max_depth,
+                max_depth: self.counters.peak_queue_depth,
                 mean_depth: if span > 0.0 {
-                    depth_integral / span
+                    self.depth_integral / span
                 } else {
                     0.0
                 },
-                timeline,
-                total_samples: samples_total,
+                timeline: self.timeline,
+                total_samples: self.samples_total,
             },
-            fleet
-                .cards()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| card_summary(i, c, span))
-                .collect(),
-            preemptions,
-            scaler.map_or_else(Vec::new, Autoscaler::into_log),
-            (priced_plans > 0).then_some(CostPrediction {
-                plans: priced_plans,
-                mean_abs_error_s: prediction_abs_error / priced_plans.max(1) as f64,
-                max_error_s: prediction_max_error,
+            cards,
+            self.preemptions,
+            self.scaler.map_or_else(Vec::new, Autoscaler::into_log),
+            (priced > 0).then_some(CostPrediction {
+                plans: priced,
+                mean_abs_error_s: self.prediction_abs_error / priced as f64,
+                max_error_s: self.prediction_max_error,
             }),
             faults,
         )
-    }
-
-    /// Checkpoints-and-requeues one in-flight background **shard**
-    /// because interactive request `waiting` has outwaited the
-    /// dispatcher's patience. Returns the evicted shard's card (so the
-    /// caller can mark its view dirty), or `None` when no victim exists.
-    ///
-    /// By default the victim is the youngest: the last-dispatched shard
-    /// (highest shard id) of the youngest (highest-id) background
-    /// request with anything in flight. Under
-    /// [`PreemptionControl::cost_aware`] every in-flight background
-    /// shard is priced by [`CostModel::preemption_cost`] (work thrown
-    /// away + restart + forfeited swap) and the cheapest eviction wins,
-    /// ties falling back to youngest-first.
-    ///
-    /// Only the victim shard's unfinished jobs requeue; sibling shards of
-    /// the same request keep running, and the fan-in table joins them
-    /// back up with the remnant when it eventually re-dispatches. If a
-    /// remnant of the same request is already waiting (an earlier shard
-    /// was preempted too), the new remnant merges into it — the merged
-    /// entry keeps the exact job *count*, though after a merge of
-    /// disjoint ranges the enumeration offsets are approximate (traces
-    /// under preemption already re-run lost partial jobs, so job identity
-    /// there is best-effort by design). The freed pipeline is picked up
-    /// by the dispatch pass that follows the event batch.
-    #[allow(clippy::too_many_arguments)]
-    fn preempt_background(
-        &self,
-        now: f64,
-        waiting: u64,
-        cost: &CostModel,
-        fleet: &mut Fleet,
-        table: &mut FlightTable,
-        queue: &mut PriorityQueue,
-        preemptions: &mut Vec<PreemptionRecord>,
-        sink: &mut dyn TraceSink,
-    ) -> Option<usize> {
-        let background =
-            |table: &FlightTable, fi: usize| table.requests[fi].class == RequestClass::lowest();
-        // The chosen victim: arena index, shard id, and — under
-        // cost-aware selection, where one was computed anyway — the
-        // eviction price the sink reports. `table.live` is sorted by
-        // request id, so ascending iteration matches the id-keyed tree
-        // this table replaced.
-        let chosen = if self.preemption.cost_aware_victims {
-            // Price every candidate eviction; cheapest wins, ties to the
-            // youngest (highest request id, then highest shard id) so
-            // selection matches the legacy instinct when prices agree.
-            let mut best: Option<(f64, u64, u32, u32)> = None;
-            for &fi in &table.live {
-                let fi_us = fi as usize;
-                if !background(table, fi_us) {
-                    continue;
-                }
-                let id = table.requests[fi_us].id;
-                let mut node = table.flights[fi_us].head;
-                while node != NIL {
-                    let slot = &table.shards.nodes[node as usize].slot;
-                    // The re-swap term applies only when eviction would
-                    // tear a swap still streaming in — the same
-                    // condition under which `Card::preempt` drops the
-                    // residency. A victim whose swap completed leaves
-                    // the family resident, so no re-stream is owed.
-                    let tearing_swap = slot.admission.swap_seconds > 0.0
-                        && now < slot.dispatched + slot.admission.swap_seconds;
-                    let price = cost.preemption_cost(
-                        slot.card,
-                        &table.requests[fi_us].shape,
-                        now - slot.dispatched,
-                        slot.admission.stall_seconds,
-                        slot.admission.per_job_seconds,
-                        slot.jobs,
-                        tearing_swap,
-                    );
-                    let better = match &best {
-                        None => true,
-                        Some((b, bid, bshard, _)) => match price.total_cmp(b) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Greater => false,
-                            std::cmp::Ordering::Equal => (id, slot.shard) > (*bid, *bshard),
-                        },
-                    };
-                    if better {
-                        best = Some((price, id, slot.shard, fi));
-                    }
-                    node = table.shards.nodes[node as usize].next;
-                }
-            }
-            best.map(|(price, _, shard, fi)| (fi, shard, Some(price)))
-        } else {
-            // Youngest-first: the highest-id background request with a
-            // live shard, then its highest shard id.
-            table.live.iter().rev().find_map(|&fi| {
-                let fi_us = fi as usize;
-                if !background(table, fi_us) || table.flights[fi_us].shard_count == 0 {
-                    return None;
-                }
-                let mut node = table.flights[fi_us].head;
-                let mut best_shard = 0u32;
-                while node != NIL {
-                    best_shard = best_shard.max(table.shards.nodes[node as usize].slot.shard);
-                    node = table.shards.nodes[node as usize].next;
-                }
-                Some((fi, best_shard, None))
-            })
-        };
-        let (fi, shard_id, victim_cost) = chosen?;
-        let fi_us = fi as usize;
-        let slot = table
-            .unlink_shard(fi_us, shard_id)
-            .expect("victim was just found");
-        let done = fleet
-            .card_mut(slot.card)
-            .preempt(&slot.admission, slot.dispatched, now);
-        // `floor` keeps the checkpoint strictly below the shard's job
-        // count; the min guards the float edge where the division lands
-        // exactly on it.
-        let done = done.min(slot.jobs - 1);
-        let victim = table.requests[fi_us].id;
-        table.requests[fi_us].preemptions += 1;
-        // The remnant owes one restart penalty for this preemption; its
-        // first admission pays it and clears the flag. The arena record
-        // becomes the remnant in place: while a remnant sits in the
-        // queue the record holds exactly its job range (dispatch
-        // restores the record to last-dispatched state).
-        table.requests[fi_us].pending_restart = true;
-        let a2 = slot.first_job + done;
-        let b2 = slot.first_job + slot.jobs;
-        let rank = (table.requests[fi_us].class.rank(), victim);
-        let (jd, je) = if queue.remove(rank).is_some() {
-            // Merge with the remnant of an earlier preempted shard: keep
-            // the combined job count, anchored at the lower offset (the
-            // ranges are disjoint, so the sum never walks off the grid).
-            // The previous remnant's range is read from the record
-            // *before* overwriting it.
-            let r = &table.requests[fi_us];
-            let jobs = (r.jobs_end - r.jobs_done) + (b2 - a2);
-            let jd = r.jobs_done.min(a2);
-            (jd, jd + jobs)
-        } else {
-            (a2, b2)
-        };
-        table.requests[fi_us].jobs_done = jd;
-        table.requests[fi_us].jobs_end = je;
-        table.flights[fi_us].queued_jobs = je - jd;
-        queue.push(&table.requests[fi_us], fi);
-        let record = PreemptionRecord {
-            time: now,
-            preempted: victim,
-            waiting,
-            card: slot.card,
-            jobs_checkpointed: done,
-        };
-        if sink.enabled() {
-            sink.preempted(now, &record, slot.shard, slot.pipeline, victim_cost);
-        }
-        preemptions.push(record);
-        Some(slot.card)
     }
 }
 
@@ -1583,6 +1493,18 @@ impl FlightTable {
         meta.shard_count += 1;
     }
 
+    /// Flight `fi`'s live shards, in dispatch order.
+    fn shards_of(&self, fi: usize) -> impl Iterator<Item = &ShardSlot> + '_ {
+        let mut node = self.flights[fi].head;
+        std::iter::from_fn(move || {
+            (node != NIL).then(|| {
+                let n = &self.shards.nodes[node as usize];
+                node = n.next;
+                &n.slot
+            })
+        })
+    }
+
     /// Unlinks the slot with `shard` id from flight `fi`'s chain, or
     /// `None` when no live slot matches (a tombstoned completion).
     fn unlink_shard(&mut self, fi: usize, shard: u32) -> Option<ShardSlot> {
@@ -1673,23 +1595,6 @@ fn card_summary(index: usize, card: &Card, span: f64) -> CardSummary {
     }
 }
 
-/// Convenience wrapper: generate `n` requests from `traffic`, serve them,
-/// and label the report with the arrival process and mix names.
-pub fn serve(
-    fleet: &FleetConfig,
-    policy: &mut dyn DispatchPolicy,
-    traffic: &TrafficSpec,
-    n: usize,
-) -> ServeReport {
-    Simulation::new(fleet)
-        .arrivals_label(format!(
-            "{}/{}",
-            traffic.arrivals.name(),
-            traffic.mix.name()
-        ))
-        .run(policy, &traffic.requests(n))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1709,7 +1614,7 @@ mod tests {
     fn every_request_completes_under_every_policy() {
         let fleet = FleetConfig::standard(2);
         for mut policy in all_policies() {
-            let report = serve(&fleet, &mut *policy, &traffic(3), 300);
+            let report = Simulation::new(&fleet).run(&mut *policy, &traffic(3).requests(300));
             assert_eq!(report.completed, 300, "{}", report.policy);
             assert!(report.latency.unwrap().p50 > 0.0);
             assert!(report.slo_violations <= report.completed);
@@ -1720,11 +1625,14 @@ mod tests {
     #[test]
     fn reports_are_bitwise_deterministic() {
         let fleet = FleetConfig::standard(3);
-        let a = serve(&fleet, &mut LeastLoaded::default(), &traffic(11), 400);
-        let b = serve(&fleet, &mut LeastLoaded::default(), &traffic(11), 400);
+        let a =
+            Simulation::new(&fleet).run(&mut LeastLoaded::default(), &traffic(11).requests(400));
+        let b =
+            Simulation::new(&fleet).run(&mut LeastLoaded::default(), &traffic(11).requests(400));
         assert_eq!(a, b);
         assert_eq!(a.to_json().pretty(), b.to_json().pretty());
-        let c = serve(&fleet, &mut LeastLoaded::default(), &traffic(12), 400);
+        let c =
+            Simulation::new(&fleet).run(&mut LeastLoaded::default(), &traffic(12).requests(400));
         assert_ne!(a.latency, c.latency, "different seeds must differ");
     }
 
@@ -1888,7 +1796,7 @@ mod tests {
             mix: RequestMix::Interactive,
             seed: 5,
         };
-        let report = serve(&fleet, &mut Fifo, &spec, 200);
+        let report = Simulation::new(&fleet).run(&mut Fifo, &spec.requests(200));
         assert!(report.queue.max_depth > 0);
         assert!(report.queue.mean_depth > 0.0);
         assert!(report.queue.mean_depth <= report.queue.max_depth as f64);
@@ -1920,7 +1828,7 @@ mod tests {
             mix: RequestMix::Production,
             seed: 17,
         };
-        let report = serve(&fleet, &mut Fifo, &spec, 300);
+        let report = Simulation::new(&fleet).run(&mut Fifo, &spec.requests(300));
         let interactive = report.class(RequestClass::Interactive).unwrap();
         let background = report.class(RequestClass::Background).unwrap();
         let (i_lat, b_lat) = (interactive.latency.unwrap(), background.latency.unwrap());
@@ -2075,6 +1983,148 @@ mod tests {
             c99 <= y99 * 1.5,
             "cost-aware interactive p99 {c99} vs youngest {y99}"
         );
+    }
+
+    #[test]
+    fn cost_aware_preemption_log_is_pinned() {
+        // Nothing else runs cost-aware preemption on a fixed schedule, so
+        // this pins its prices and tie-breaks: per firing, (time, victim,
+        // waiting, shard, card, jobs checkpointed, price).
+        let fleet = FleetConfig::standard(2);
+        let requests = bursty_lulls(13, 40, 2.5);
+        let mut sink = RecordingSink::new();
+        let report = Simulation::new(&fleet)
+            .preemption(PreemptionControl::cost_aware(0.05))
+            .run_traced(&mut LeastLoaded::new(4), &requests, &mut sink);
+        let expected = [
+            (2.2599274601170998, 7, 10, 3, 1, 53, 0.0026880590603996987),
+            (2.28725698273049, 7, 12, 1, 0, 68, 0.0025466483404566406),
+            (2.4439446772855558, 7, 13, 2, 1, 150, 0.009059907339966818),
+            (2.5482857092211404, 7, 14, 0, 0, 207, 0.00901139260888479),
+            (2.55613617392643, 7, 15, 4, 1, 49, 0.01171038275642109),
+            (2.78366549175602, 8, 17, 0, 1, 109, 0.009744020478465766),
+            (2.982705641023573, 7, 18, 5, 0, 225, 0.011613200140201625),
+            (3.682495212202974, 7, 21, 6, 0, 352, 0.011463763961618197),
+            (4.126708808376681, 8, 23, 1, 1, 492, 0.010728219305096938),
+            (6.443561026864541, 8, 35, 2, 1, 532, 0.012071482203389945),
+        ];
+        let events: Vec<(u32, Option<f64>)> = sink
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Preempted {
+                    shard,
+                    victim_cost_s,
+                    ..
+                } => Some((shard, victim_cost_s)),
+                _ => None,
+            })
+            .collect();
+        let actual: Vec<_> = report
+            .preemptions
+            .iter()
+            .zip(&events)
+            .map(|(p, &(shard, price))| {
+                let price = price.expect("cost-aware selection prices its victim");
+                let (t, id, waiting, card, jobs) =
+                    (p.time, p.preempted, p.waiting, p.card, p.jobs_checkpointed);
+                (t, id, waiting, shard, card, jobs, price)
+            })
+            .collect();
+        assert_eq!(events.len(), report.preemptions.len());
+        assert_eq!(actual, expected);
+    }
+
+    #[test]
+    fn a_death_remnant_merges_into_a_queued_preemption_remnant() {
+        // Two single-pipeline cards. A background request fans out as two
+        // 4-job shards; an interactive arrival outwaits its patience and
+        // evicts shard 1 (its remnant queues behind the interactive
+        // request, which takes the freed pipeline); then card 0 dies
+        // under shard 0, whose remnant must merge into the queued one.
+        // The merged remnant must carry exactly the unfinished jobs of
+        // both evicted shards, and the request must fan in once.
+        let single = swat::SwatConfig {
+            pipelines: 1,
+            ..swat::SwatConfig::bigbird_dual_fp16()
+        };
+        let fleet = FleetConfig {
+            groups: vec![crate::fleet::CardGroup::new(
+                2,
+                single,
+                swat_hw::MemoryInterface::hbm2(),
+            )],
+            host_link: swat_hw::MemoryInterface::pcie4_x16(),
+        };
+        let shape = |heads, layers| swat_workloads::RequestShape {
+            seq_len: 512,
+            heads,
+            layers,
+            batch: 1,
+        };
+        let (wide, small) = (shape(4, 2), shape(1, 1));
+        let built = fleet.build().unwrap();
+        let swap = built.cards()[0].swap_seconds(&wide);
+        let per_job = built.cards()[0].job_seconds(&wide, 1);
+        // Both shards start at t0 and finish their first job at
+        // t0 + swap + per_job: the eviction lands 1.5 jobs into shard 1,
+        // the death 2.5 jobs into shard 0.
+        let t0 = 1.0;
+        let arrive = t0 + swap + 0.25 * per_job;
+        let threshold = 1.25 * per_job;
+        let death = t0 + swap + 2.5 * per_job;
+        let requests = [
+            Request::classed(0, t0, wide, RequestClass::Background),
+            Request::classed(1, arrive, small, RequestClass::Interactive),
+        ];
+        let mut sink = RecordingSink::new();
+        let report = Simulation::new(&fleet)
+            .preemption(PreemptionControl::after_wait(threshold))
+            .faults(crate::fault::FaultPlan::none().kill(death, 0))
+            .run_traced(&mut LeastLoaded::fixed(2), &requests, &mut sink);
+        assert_eq!(report.completed, 2);
+        let starts = |from: f64, to: f64| -> Vec<(u32, usize, usize)> {
+            (sink.events.iter())
+                .filter_map(|e| match *e {
+                    TraceEvent::ShardStart {
+                        t,
+                        id: 0,
+                        shard,
+                        card,
+                        jobs,
+                        ..
+                    } if (from..to).contains(&t) => Some((shard, card, jobs)),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(starts(t0, death), [(0, 0, 4), (1, 1, 4)]);
+        let [p] = &report.preemptions[..] else {
+            panic!("one preemption expected: {:?}", report.preemptions);
+        };
+        assert_eq!(
+            (p.preempted, p.waiting, p.card, p.jobs_checkpointed),
+            (0, 1, 1, 1)
+        );
+        assert!(sink.events.iter().any(|e| matches!(
+            *e,
+            TraceEvent::CardDeath {
+                card: 0,
+                shards_lost: 1,
+                ..
+            }
+        )));
+        // Shard 1 left 4 - 1 jobs, shard 0 left 4 - 2.
+        let resumed = starts(death, f64::INFINITY);
+        assert_eq!(
+            resumed.iter().map(|s| s.2).sum::<usize>(),
+            (4 - 1) + (4 - 2)
+        );
+        assert!(resumed.iter().all(|s| s.1 == 1), "only card 1 survives");
+        let fan_ins = (sink.events.iter())
+            .filter(|e| matches!(e, TraceEvent::FanIn { id: 0, .. }))
+            .count();
+        assert_eq!(fan_ins, 1);
     }
 
     #[test]
@@ -2510,7 +2560,8 @@ mod tests {
     #[test]
     fn heterogeneous_fleet_uses_both_groups() {
         let fleet = FleetConfig::mixed_precision(2, 2);
-        let report = serve(&fleet, &mut LeastLoaded::default(), &traffic(5), 400);
+        let report =
+            Simulation::new(&fleet).run(&mut LeastLoaded::default(), &traffic(5).requests(400));
         assert_eq!(report.completed, 400);
         assert_eq!(report.groups.len(), 2);
         assert!(

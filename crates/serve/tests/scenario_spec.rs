@@ -129,8 +129,8 @@ fn any_admission() -> impl Strategy<Value = AdmissionControl> {
 fn any_preemption() -> impl Strategy<Value = PreemptionSpec> {
     prop_oneof![
         Just(PreemptionSpec::Disabled),
-        (0.0f64..1.0).prop_map(|threshold_s| PreemptionSpec::AfterWait { threshold_s }),
-        (0.0f64..1.0).prop_map(|threshold_s| PreemptionSpec::CostAware { threshold_s }),
+        (0.001f64..1.0).prop_map(|threshold_s| PreemptionSpec::AfterWait { threshold_s }),
+        (0.001f64..1.0).prop_map(|threshold_s| PreemptionSpec::CostAware { threshold_s }),
     ]
 }
 
@@ -284,4 +284,45 @@ fn out_of_fleet_fault_is_a_diagnostic_not_a_panic() {
     };
     let err = spec.run().unwrap_err();
     assert!(err.contains("card 3"), "{err}");
+}
+
+#[test]
+fn zero_preemption_threshold_is_a_diagnostic_not_a_panic() {
+    for threshold_s in [0.0, -0.0] {
+        for preemption in [
+            PreemptionSpec::AfterWait { threshold_s },
+            PreemptionSpec::CostAware { threshold_s },
+        ] {
+            let spec = ScenarioSpec {
+                preemption,
+                ..ScenarioSpec::default()
+            };
+            let err = spec.run().unwrap_err();
+            assert!(err.contains("preemption threshold"), "{err}");
+        }
+    }
+}
+
+#[test]
+fn overflowing_fault_time_is_a_diagnostic_not_a_panic() {
+    // A finite span fraction whose resolved time `t0 + span × at_frac`
+    // overflows to infinity (20 Poisson(1) arrivals span well over 1 s).
+    let spec = ScenarioSpec {
+        requests: 20,
+        faults: vec![
+            FaultSpec {
+                at_frac: 0.5,
+                card: 0,
+                kind: FaultKindSpec::Kill,
+            },
+            FaultSpec {
+                at_frac: f64::MAX,
+                card: 0,
+                kind: FaultKindSpec::Kill,
+            },
+        ],
+        ..ScenarioSpec::default()
+    };
+    let err = spec.run().unwrap_err();
+    assert!(err.contains("fault 1"), "{err}");
 }

@@ -4,7 +4,7 @@
 use swat_serve::arrival::ArrivalProcess;
 use swat_serve::fleet::FleetConfig;
 use swat_serve::policy::{all_policies, LeastLoaded};
-use swat_serve::sim::{serve, AdmissionControl, Simulation, TrafficSpec};
+use swat_serve::sim::{AdmissionControl, Simulation, TrafficSpec};
 use swat_workloads::{RequestClass, RequestMix};
 
 fn spec(seed: u64) -> TrafficSpec {
@@ -19,7 +19,7 @@ fn spec(seed: u64) -> TrafficSpec {
 fn four_card_fleet_serves_production_traffic() {
     let fleet = FleetConfig::standard(4);
     for mut policy in all_policies() {
-        let report = serve(&fleet, &mut *policy, &spec(1), 600);
+        let report = Simulation::new(&fleet).run(&mut *policy, &spec(1).requests(600));
         assert_eq!(report.completed, 600, "{}", report.policy);
         assert_eq!(report.cards.len(), 4);
         // Every card got work under every policy at this load.
@@ -104,7 +104,7 @@ fn mixed_precision_fleet_serves_production_traffic() {
     // and the report accounts each card to its group.
     let fleet = FleetConfig::mixed_precision(3, 2);
     for mut policy in all_policies() {
-        let report = serve(&fleet, &mut *policy, &spec(19), 600);
+        let report = Simulation::new(&fleet).run(&mut *policy, &spec(19).requests(600));
         assert_eq!(report.completed, 600, "{}", report.policy);
         assert_eq!(report.cards.len(), 5);
         assert_eq!(report.groups.len(), 2);
@@ -163,12 +163,8 @@ fn admission_control_protects_interactive_tail() {
 
 #[test]
 fn json_report_has_the_required_fields() {
-    let report = serve(
-        &FleetConfig::standard(4),
-        &mut LeastLoaded::default(),
-        &spec(9),
-        200,
-    );
+    let report = Simulation::new(&FleetConfig::standard(4))
+        .run(&mut LeastLoaded::default(), &spec(9).requests(200));
     let json = report.to_json().pretty();
     for key in [
         "\"policy\"",
@@ -190,17 +186,4 @@ fn json_report_has_the_required_fields() {
     ] {
         assert!(json.contains(key), "missing {key} in:\n{json}");
     }
-}
-
-#[test]
-fn replay_is_reproducible_across_entry_points() {
-    // Generating the trace and serving it manually must agree with the
-    // `serve` convenience wrapper, bit for bit.
-    let fleet = FleetConfig::standard(3);
-    let requests = spec(11).requests(300);
-    let manual = Simulation::new(&fleet).run(&mut LeastLoaded::default(), &requests);
-    let wrapped = serve(&fleet, &mut LeastLoaded::default(), &spec(11), 300);
-    assert_eq!(manual.latency, wrapped.latency);
-    assert_eq!(manual.queue.max_depth, wrapped.queue.max_depth);
-    assert_eq!(manual.energy_joules, wrapped.energy_joules);
 }
