@@ -14,7 +14,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use swat_serve::arrival::ArrivalProcess;
-use swat_serve::event::{EventQueue, PriorityQueue};
+use swat_serve::event::{Event, EventQueue, PriorityQueue};
 use swat_serve::request::Request;
 use swat_serve::sim::TrafficSpec;
 use swat_workloads::{DecodeMix, RequestMix};
@@ -46,7 +46,13 @@ fn bench_event_queue(c: &mut Criterion) {
             b.iter(|| {
                 let mut queue = EventQueue::new();
                 for r in &requests {
-                    queue.push_completion(r.arrival, (r.id % 6) as usize, r.id, 0, r.id as u32);
+                    let event = Event::Completion {
+                        card: (r.id % 6) as usize,
+                        id: r.id,
+                        shard: 0,
+                        index: r.id as u32,
+                    };
+                    queue.push(r.arrival, event);
                 }
                 let mut last = 0.0;
                 while let Some((time, event)) = queue.pop() {

@@ -107,7 +107,7 @@ fn main() {
     // steady-state baseline, admission shedding under overload,
     // checkpoint-and-requeue preemption (the tombstoning path), the
     // autoscaler's warm-up/park events, cost-model fan-out, and the
-    // baseline again under streaming telemetry to price the sketches.
+    // baseline again under streaming telemetry to price the histograms.
     let homogeneous = FleetConfig::standard(6);
     let preemption_fleet = FleetConfig::standard(2);
     let sharded_fleet = FleetConfig::standard(4);

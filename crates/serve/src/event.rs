@@ -59,6 +59,8 @@ pub enum Event {
     Arrival {
         /// Index into the request slice handed to the simulator.
         index: usize,
+        /// The request's id, the arrival's tie-break.
+        id: u64,
     },
     /// One shard of a dispatched request drains from its card. The event
     /// time is the shard's finish; the simulator's fan-in table decides
@@ -87,7 +89,9 @@ pub enum Event {
     /// completion at the instant — including the one that produced it —
     /// drains before the remnant requeues, and before any same-instant
     /// preemption, scaling, or fault event can observe the request
-    /// without either a shard in flight or a queue slot.
+    /// without either a shard in flight or a queue slot. At most one is
+    /// pending per request (a request runs one step at a time), so its
+    /// zero shard id in the tie-break can never collide.
     StepComplete {
         /// Card whose shard drained last (the fan-in card) — the card a
         /// whole-job run re-admits the next step on.
@@ -184,26 +188,35 @@ impl Event {
             Event::CardRevive { .. } => 8,
         }
     }
+
+    /// The equal-time tie-break `(kind, card, request id, shard id)`,
+    /// each field 0 where the kind carries none. The shard id is the
+    /// final tie-break: two shards of one request on one card (a
+    /// dual-pipeline split) can finish at the same instant.
+    fn tie_key(&self) -> (u8, usize, u64, u32) {
+        let kind = self.kind_index() as u8;
+        match *self {
+            Event::Arrival { id, .. } | Event::Preemption { id } => (kind, 0, id, 0),
+            Event::Completion {
+                card, id, shard, ..
+            } => (kind, card, id, shard),
+            Event::StepComplete { card, id, .. } => (kind, card, id, 0),
+            Event::Warmed { card }
+            | Event::CardDeath { card }
+            | Event::CardDegrade { card, .. }
+            | Event::CardRevive { card, .. } => (kind, card, 0, 0),
+            Event::ScaleCheck => (kind, 0, 0, 0),
+        }
+    }
 }
 
-/// One heap entry with its explicit ordering key.
+/// One heap entry with its ordering key.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     time: f64,
-    /// Arrivals (0) sort before completions (1) at equal times.
-    kind: u8,
-    card: usize,
-    id: u64,
-    /// Shard id, the final tie-break: two shards of one request on one
-    /// card (a dual-pipeline split) can finish at the same instant.
-    shard: u32,
+    /// [`Event::tie_key`], computed once at push.
+    key: (u8, usize, u64, u32),
     event: Event,
-}
-
-impl HeapEntry {
-    fn key(&self) -> (f64, u8, usize, u64, u32) {
-        (self.time, self.kind, self.card, self.id, self.shard)
-    }
 }
 
 impl PartialEq for HeapEntry {
@@ -222,13 +235,9 @@ impl PartialOrd for HeapEntry {
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        let (t1, k1, c1, i1, s1) = self.key();
-        let (t2, k2, c2, i2, s2) = other.key();
-        t1.total_cmp(&t2)
-            .then(k1.cmp(&k2))
-            .then(c1.cmp(&c2))
-            .then(i1.cmp(&i2))
-            .then(s1.cmp(&s2))
+        self.time
+            .total_cmp(&other.time)
+            .then(self.key.cmp(&other.key))
     }
 }
 
@@ -260,170 +269,17 @@ impl EventQueue {
         self.heap.is_empty()
     }
 
-    /// Schedules the arrival of the request at `index` (with id `id`) at
-    /// `time`.
+    /// Schedules `event` at `time`.
     ///
     /// # Panics
     ///
     /// Panics if `time` is not finite.
-    pub fn push_arrival(&mut self, time: f64, index: usize, id: u64) {
+    pub fn push(&mut self, time: f64, event: Event) {
         assert!(time.is_finite(), "event times must be finite");
         self.heap.push(Reverse(HeapEntry {
             time,
-            kind: 0,
-            card: 0,
-            id,
-            shard: 0,
-            event: Event::Arrival { index },
-        }));
-    }
-
-    /// Schedules the completion of request `id`'s shard `shard` on `card`
-    /// at `time` (the shard's finish instant). `index` is the request's
-    /// dense arena index, carried so delivery skips the id lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
-    pub fn push_completion(&mut self, time: f64, card: usize, id: u64, shard: u32, index: u32) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 1,
-            card,
-            id,
-            shard,
-            event: Event::Completion {
-                card,
-                id,
-                shard,
-                index,
-            },
-        }));
-    }
-
-    /// Schedules the step boundary of request `id` at `time` — pushed by
-    /// the fan-in of a non-final decode step, always at the fan-in's own
-    /// timestamp, on the fan-in card. At most one per request can be
-    /// pending (a request runs one step at a time), so the zero shard
-    /// tie-break can never collide.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
-    pub fn push_step_complete(&mut self, time: f64, card: usize, id: u64, index: u32) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 2,
-            card,
-            id,
-            shard: 0,
-            event: Event::StepComplete { card, id, index },
-        }));
-    }
-
-    /// Schedules a preemption check for waiting request `id` at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
-    pub fn push_preemption(&mut self, time: f64, id: u64) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 3,
-            card: 0,
-            id,
-            shard: 0,
-            event: Event::Preemption { id },
-        }));
-    }
-
-    /// Schedules card `card` becoming dispatchable at `time` (the end of
-    /// its warm-up).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
-    pub fn push_warmed(&mut self, time: f64, card: usize) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 4,
-            card,
-            id: 0,
-            shard: 0,
-            event: Event::Warmed { card },
-        }));
-    }
-
-    /// Schedules an autoscaler wake-up at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
-    pub fn push_scale_check(&mut self, time: f64) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 5,
-            card: 0,
-            id: 0,
-            shard: 0,
-            event: Event::ScaleCheck,
-        }));
-    }
-
-    /// Schedules the failure of `card` at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
-    pub fn push_card_death(&mut self, time: f64, card: usize) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 6,
-            card,
-            id: 0,
-            shard: 0,
-            event: Event::CardDeath { card },
-        }));
-    }
-
-    /// Schedules a calibration shift of `card` by `factor` at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
-    pub fn push_card_degrade(&mut self, time: f64, card: usize, factor: f64) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 7,
-            card,
-            id: 0,
-            shard: 0,
-            event: Event::CardDegrade { card, factor },
-        }));
-    }
-
-    /// Schedules the revival of dead `card` at `time`; it becomes
-    /// dispatchable `warmup_s` later.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
-    pub fn push_card_revive(&mut self, time: f64, card: usize, warmup_s: f64) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 8,
-            card,
-            id: 0,
-            shard: 0,
-            event: Event::CardRevive { card, warmup_s },
+            key: event.tie_key(),
+            event,
         }));
     }
 
@@ -840,12 +696,23 @@ mod tests {
         }
     }
 
+    /// A completion of request `id`'s shard `shard` on `card`, stored at
+    /// arena index `id`.
+    fn completion(card: usize, id: u64, shard: u32) -> Event {
+        Event::Completion {
+            card,
+            id,
+            shard,
+            index: id as u32,
+        }
+    }
+
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
-        q.push_completion(3.0, 0, 0, 0, 0);
-        q.push_arrival(1.0, 1, 1);
-        q.push_completion(2.0, 1, 2, 0, 2);
+        q.push(3.0, completion(0, 0, 0));
+        q.push(1.0, Event::Arrival { index: 1, id: 1 });
+        q.push(2.0, completion(1, 2, 0));
         let times: Vec<f64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
         assert_eq!(times, [1.0, 2.0, 3.0]);
     }
@@ -853,15 +720,15 @@ mod tests {
     #[test]
     fn ties_break_arrival_then_card_then_id_then_shard() {
         let mut q = EventQueue::new();
-        q.push_completion(1.0, 1, 9, 0, 9);
-        q.push_completion(1.0, 0, 4, 1, 4);
-        q.push_completion(1.0, 0, 4, 0, 4);
-        q.push_completion(1.0, 0, 2, 0, 2);
-        q.push_arrival(1.0, 7, 7);
+        q.push(1.0, completion(1, 9, 0));
+        q.push(1.0, completion(0, 4, 1));
+        q.push(1.0, completion(0, 4, 0));
+        q.push(1.0, completion(0, 2, 0));
+        q.push(1.0, Event::Arrival { index: 7, id: 7 });
         assert_eq!(q.len(), 5);
         let order: Vec<(u8, usize, u64, u32)> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| match e {
-                Event::Arrival { index } => (0, 0, index as u64, 0),
+                Event::Arrival { id, .. } => (0, 0, id, 0),
                 Event::Completion {
                     card, id, shard, ..
                 } => (1, card, id, shard),
@@ -896,12 +763,19 @@ mod tests {
         // chosen as a preemption victim, and capacity controllers see
         // settled state.
         let mut q = EventQueue::new();
-        q.push_scale_check(1.0);
-        q.push_warmed(1.0, 3);
-        q.push_preemption(1.0, 9);
-        q.push_step_complete(1.0, 0, 5, 5);
-        q.push_completion(1.0, 0, 5, 0, 5);
-        q.push_arrival(1.0, 0, 2);
+        q.push(1.0, Event::ScaleCheck);
+        q.push(1.0, Event::Warmed { card: 3 });
+        q.push(1.0, Event::Preemption { id: 9 });
+        q.push(
+            1.0,
+            Event::StepComplete {
+                card: 0,
+                id: 5,
+                index: 5,
+            },
+        );
+        q.push(1.0, completion(0, 5, 0));
+        q.push(1.0, Event::Arrival { index: 0, id: 2 });
         let kinds: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| e.kind_index())
             .collect();
@@ -915,20 +789,32 @@ mod tests {
         // revival of another card orders after the death — so degraded-
         // mode dispatch always sees settled capacity.
         let mut q = EventQueue::new();
-        q.push_card_revive(1.0, 2, 2.0);
-        q.push_card_degrade(1.0, 1, 1.5);
-        q.push_card_death(1.0, 0);
-        q.push_scale_check(1.0);
-        q.push_completion(1.0, 0, 5, 0, 5);
-        q.push_arrival(1.0, 0, 2);
+        q.push(
+            1.0,
+            Event::CardRevive {
+                card: 2,
+                warmup_s: 2.0,
+            },
+        );
+        q.push(
+            1.0,
+            Event::CardDegrade {
+                card: 1,
+                factor: 1.5,
+            },
+        );
+        q.push(1.0, Event::CardDeath { card: 0 });
+        q.push(1.0, Event::ScaleCheck);
+        q.push(1.0, completion(0, 5, 0));
+        q.push(1.0, Event::Arrival { index: 0, id: 2 });
         let kinds: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| e.kind_index())
             .collect();
         assert_eq!(kinds, [0, 1, 5, 6, 7, 8]);
         // Equal-time deaths order by card index.
         let mut q = EventQueue::new();
-        q.push_card_death(2.0, 3);
-        q.push_card_death(2.0, 1);
+        q.push(2.0, Event::CardDeath { card: 3 });
+        q.push(2.0, Event::CardDeath { card: 1 });
         let cards: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| match e {
                 Event::CardDeath { card } => card,
@@ -945,7 +831,7 @@ mod tests {
             let mut q = EventQueue::new();
             for &i in order {
                 let (t, card, id) = entries[i];
-                q.push_completion(t, card, id, 0, id as u32);
+                q.push(t, completion(card, id, 0));
             }
             std::iter::from_fn(|| q.pop())
                 .map(|(_, e)| match e {

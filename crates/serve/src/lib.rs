@@ -66,9 +66,10 @@
 //! leaves every report byte-identical. The report is folded as requests
 //! finish — one accumulator, no per-request record and no end-of-run
 //! sort. For very long traces, [`trace::TelemetryMode::Streaming`] holds
-//! its latency distributions in fixed-memory P² quantile sketches
-//! instead of exact sample vectors and adds a bounded time-bucketed
-//! gauge histogram.
+//! its latency distributions in log-bucketed histograms, whose memory
+//! grows with the samples' dynamic range rather than their count and
+//! whose percentiles sit within 2⁻⁷ of exact, instead of exact sample
+//! vectors, and adds a bounded time-bucketed gauge series.
 //!
 //! The fleet is also **mortal**: a seeded [`fault::FaultPlan`] injects
 //! card deaths (in-flight shards evicted and requeued as checkpointed

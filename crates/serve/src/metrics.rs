@@ -2,10 +2,12 @@
 //! energy, SLO accounting — overall, per priority class, and per card
 //! group.
 
+use std::collections::BTreeMap;
+
 use crate::json::Json;
 use crate::request::{CompletedRequest, Request};
 use crate::scale::ScaleEvent;
-use crate::trace::{GaugeSample, StreamingSummary, TelemetryMode, TimeBuckets};
+use crate::trace::{GaugeSample, TelemetryMode, TimeBuckets};
 use swat_workloads::RequestClass;
 
 /// Preemption-log entries serialized to JSON; the in-memory report keeps
@@ -23,8 +25,13 @@ const SCALING_JSON_CAP: usize = 1024;
 pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of an empty set");
     assert!((0.0..=1.0).contains(&q), "quantile out of range");
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[nearest_rank(q, sorted.len()) - 1]
+}
+
+/// The 1-based nearest rank of quantile `q` among `n ≥ 1` samples — the
+/// one rank rule both telemetry modes pick by.
+fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n)
 }
 
 /// Latency distribution summary, seconds.
@@ -166,7 +173,7 @@ impl TelemetrySummary {
     fn to_json(&self) -> Json {
         Json::obj([
             ("mode", Json::Str("streaming".into())),
-            ("quantile_estimator", Json::Str("p2".into())),
+            ("quantile_estimator", Json::Str("log_histogram".into())),
             ("bucket_s", Json::Num(self.bucket_seconds)),
             (
                 "buckets",
@@ -341,7 +348,8 @@ impl SessionSummary {
 /// completion carried a multi-step decode plan — one-shot runs omit the
 /// block entirely so their JSON stays byte-identical to pre-decode
 /// releases. Under streaming telemetry the counts are exact and the three
-/// latency distributions are P² estimates, like every other percentile.
+/// latency distributions' percentiles come from log-bucketed histograms
+/// (within 2⁻⁷ of exact), like every other percentile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodeSummary {
     /// Completions that carried a multi-step decode plan.
@@ -785,29 +793,107 @@ impl ServeReport {
     }
 }
 
+/// Low bits of a sample's IEEE-754 pattern that [`LogHistogram`] drops:
+/// the bucket key keeps the top 18 — sign, exponent and six mantissa
+/// bits — so each power of two splits into 64 buckets.
+const BUCKET_SHIFT: u32 = 46;
+
+/// A latency distribution in bounded memory: a count per log-spaced
+/// bucket, plus the exact count, sum, min and max. The bucket is an
+/// integer function of the sample's bits (see [`BUCKET_SHIFT`]), so
+/// binning needs no `ln`, reads the same on every platform and does not
+/// depend on the order samples arrive in; memory grows with the
+/// samples' dynamic range — at most 64 buckets per power of two — not
+/// with their count.
+///
+/// Each percentile is the midpoint of the bucket holding the exact
+/// nearest-rank sample, clamped to the observed `[min, max]`. A bucket
+/// is at most 1/64 of its lower edge wide, so the midpoint lies within
+/// 2⁻⁷ (≈ 0.78 %) of every sample in it, and clamping only moves it
+/// closer: every p50/p95/p99 is within 2⁻⁷ relative of exact mode's.
+/// `max` is exact; `mean` is the sum over the count, summed in arrival
+/// order, so it can differ from exact mode's in the last bits. Samples
+/// are latencies — finite and non-negative — for which key order is
+/// value order.
+#[derive(Debug, Clone)]
+struct LogHistogram {
+    buckets: BTreeMap<u64, usize>,
+    count: usize,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl LogHistogram {
+    fn new() -> LogHistogram {
+        LogHistogram {
+            buckets: BTreeMap::new(),
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
+    }
+
+    fn observe(&mut self, x: f64) {
+        *self.buckets.entry(x.to_bits() >> BUCKET_SHIFT).or_default() += 1;
+        self.count += 1;
+        self.sum += x;
+        self.min = self.min.min(x);
+        self.max = self.max.max(x);
+    }
+
+    /// The nearest-rank `q` percentile, reported as its bucket's
+    /// midpoint clamped to `[min, max]`.
+    fn percentile(&self, q: f64) -> f64 {
+        let rank = nearest_rank(q, self.count);
+        let mut seen = 0;
+        let (&key, _) = self
+            .buckets
+            .iter()
+            .find(|(_, &n)| {
+                seen += n;
+                seen >= rank
+            })
+            .expect("the rank is at most the sample count");
+        f64::from_bits(key << BUCKET_SHIFT | 1 << (BUCKET_SHIFT - 1)).clamp(self.min, self.max)
+    }
+
+    /// `None` when nothing was observed.
+    fn summary(&self) -> Option<LatencySummary> {
+        (self.count > 0).then(|| LatencySummary {
+            p50: self.percentile(0.50),
+            p95: self.percentile(0.95),
+            p99: self.percentile(0.99),
+            mean: self.sum / self.count as f64,
+            max: self.max,
+        })
+    }
+}
+
 /// One latency distribution, held the way the run's [`TelemetryMode`]
 /// asks: every sample, sorted once when the report is built (exact
 /// nearest-rank percentiles, and a mean summed in sorted order, so the
 /// bytes do not depend on the order samples arrived in), or a
-/// fixed-memory P² sketch.
+/// [`LogHistogram`].
 #[derive(Debug, Clone)]
 enum LatencyStore {
     Exact(Vec<f64>),
-    Streaming(Box<StreamingSummary>),
+    Streaming(LogHistogram),
 }
 
 impl LatencyStore {
     fn new(mode: TelemetryMode) -> LatencyStore {
         match mode {
             TelemetryMode::Exact => LatencyStore::Exact(Vec::new()),
-            TelemetryMode::Streaming => LatencyStore::Streaming(Box::default()),
+            TelemetryMode::Streaming => LatencyStore::Streaming(LogHistogram::new()),
         }
     }
 
     fn observe(&mut self, x: f64) {
         match self {
             LatencyStore::Exact(samples) => samples.push(x),
-            LatencyStore::Streaming(sketch) => sketch.observe(x),
+            LatencyStore::Streaming(histogram) => histogram.observe(x),
         }
     }
 
@@ -815,7 +901,7 @@ impl LatencyStore {
     fn summary(self) -> Option<LatencySummary> {
         match self {
             LatencyStore::Exact(samples) => LatencySummary::from_latencies(samples),
-            LatencyStore::Streaming(sketch) => sketch.summary(),
+            LatencyStore::Streaming(histogram) => histogram.summary(),
         }
     }
 }
@@ -954,7 +1040,7 @@ impl ReportAccum {
     /// starts at the first multi-step completion, as a copy of the
     /// overall latency store: every earlier completion was one-shot, and
     /// a one-shot TTFT equals its latency bitwise, so the copy holds
-    /// exactly the samples (or sketch state) the store would have.
+    /// exactly the samples (or histogram) the store would have.
     pub(crate) fn complete(&mut self, c: &CompletedRequest) {
         if self.ttft.is_none() && !c.request.decode.is_one_shot() {
             self.ttft = Some(self.latency.clone());
@@ -1133,6 +1219,7 @@ impl ReportAccum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swat_numeric::SplitMix64;
     use swat_workloads::{DecodePlan, RequestShape};
 
     #[test]
@@ -1152,6 +1239,96 @@ mod tests {
         let xs = [0.1, 0.2, 0.2, 0.9, 5.0];
         let s = LatencySummary::from_latencies(xs.to_vec()).unwrap();
         assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
+    }
+
+    /// Uniform in `[0, 1)` with full f64 mantissa resolution.
+    fn uniform(rng: &mut SplitMix64) -> f64 {
+        (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// `n` long-tailed samples: a 1 ms floor plus an exponential tail.
+    fn long_tailed(seed: u64, n: usize) -> Vec<f64> {
+        let mut rng = SplitMix64::new(seed);
+        (0..n)
+            .map(|_| 1e-3 - (1.0 - uniform(&mut rng)).ln())
+            .collect()
+    }
+
+    fn histogram_of(xs: &[f64]) -> LogHistogram {
+        let mut h = LogHistogram::new();
+        for &x in xs {
+            h.observe(x);
+        }
+        h
+    }
+
+    #[test]
+    fn histogram_reports_a_lone_sample_at_every_percentile() {
+        for x in [1e-3, 0.3, 1.0, 7.25, 123.456] {
+            let s = histogram_of(&[x]).summary().expect("one sample");
+            assert_eq!([s.p50, s.p95, s.p99, s.mean, s.max], [x; 5]);
+        }
+    }
+
+    #[test]
+    fn histogram_picks_rank_q_n_when_it_is_integral() {
+        // Each of 1..=100 has its own bucket — [50, 50.5) holds 50 and
+        // [95, 96) holds 95 — so the reported midpoint names the rank
+        // picked. At n = 100 the ranks are 50, 95 and 99, as `percentile`
+        // picks; ranks 51, 96 and 100 would read 51.25, 96.5 and 100.
+        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
+        let mut reversed = xs.clone();
+        reversed.reverse();
+        let s = histogram_of(&reversed).summary().expect("100 samples");
+        assert_eq!([s.p50, s.p95, s.p99], [50.25, 95.5, 99.5]);
+        for (q, got) in [(0.50, s.p50), (0.95, s.p95), (0.99, s.p99)] {
+            let exact = percentile(&xs, q);
+            assert!((got - exact).abs() <= exact / 128.0, "q {q}");
+        }
+    }
+
+    #[test]
+    fn histogram_percentiles_are_ordered_and_within_the_bound() {
+        for n in [2, 3, 7, 100, 1_001, 10_000] {
+            let mut xs = long_tailed(n as u64, n);
+            let s = histogram_of(&xs).summary().expect("non-empty");
+            assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max, "n {n}");
+            xs.sort_by(f64::total_cmp);
+            assert_eq!(s.max, *xs.last().unwrap());
+            for (q, got) in [(0.50, s.p50), (0.95, s.p95), (0.99, s.p99)] {
+                let exact = percentile(&xs, q);
+                assert!(
+                    (got - exact).abs() <= exact / 128.0,
+                    "n {n}, q {q}: {got} vs exact {exact}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_buckets_grow_with_range_not_count() {
+        // Log-uniform over the 17 powers of two in [2^-10, 2^7): at most
+        // 64 buckets each, however many samples arrive.
+        let mut rng = SplitMix64::new(7);
+        let mut h = LogHistogram::new();
+        let mut filled = Vec::new();
+        for _ in 0..4 {
+            for _ in 0..25_000 {
+                h.observe((-10.0 + 17.0 * uniform(&mut rng)).exp2());
+            }
+            let binades = (h.max.to_bits() >> 52) - (h.min.to_bits() >> 52) + 1;
+            assert_eq!(binades, 17);
+            assert!(h.buckets.len() as u64 <= 64 * binades);
+            filled.push(h.buckets.len());
+        }
+        assert_eq!(h.count, 100_000);
+        assert_eq!(filled, [64 * 17; 4], "every bucket filled by 25k samples");
+    }
+
+    #[test]
+    fn empty_histogram_has_no_summary() {
+        assert_eq!(LogHistogram::new().summary(), None);
+        assert_eq!(LatencyStore::new(TelemetryMode::Streaming).summary(), None);
     }
 
     fn shape() -> RequestShape {
@@ -1507,7 +1684,7 @@ mod tests {
         let json = report.to_json().pretty();
         assert!(json.contains("\"telemetry\""));
         assert!(json.contains("\"mode\": \"streaming\""));
-        assert!(json.contains("\"quantile_estimator\": \"p2\""));
+        assert!(json.contains("\"quantile_estimator\": \"log_histogram\""));
         assert!(json.contains("\"bucket_s\": 0.5"));
         assert!(json.contains("\"queue_mean\": 1.5"));
     }

@@ -161,15 +161,14 @@ pub fn shard_targets(
     let mut idle: Vec<&CardView> = cards.iter().filter(|c| c.idle_pipelines > 0).collect();
     idle.sort_by(|a, b| finish_rank(a, b, shape));
     let group = idle.first()?.group;
-    let mut plan = Vec::with_capacity(max_shards);
-    'fill: for c in idle.iter().filter(|c| c.group == group) {
-        for _ in 0..c.idle_pipelines {
-            plan.push(c.card);
-            if plan.len() == max_shards {
-                break 'fill;
-            }
-        }
-    }
+    // Sized by what the group can fill, not by the cap, which may be far
+    // past the fleet.
+    let plan = idle
+        .iter()
+        .filter(|c| c.group == group)
+        .flat_map(|c| std::iter::repeat_n(c.card, c.idle_pipelines))
+        .take(max_shards)
+        .collect();
     Some(plan)
 }
 

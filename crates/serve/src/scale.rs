@@ -47,7 +47,7 @@
 //! assert!(report.idle_energy_joules >= 0.0);
 //! ```
 
-use crate::event::EventQueue;
+use crate::event::{Event, EventQueue};
 use crate::fleet::{Card, Fleet};
 
 /// The autoscaler's control law: when to power cards up and down.
@@ -190,7 +190,7 @@ impl Autoscaler {
                 return; // everything alive already powered: saturated
             };
             fleet.card_mut(card).power_on(now, self.cfg.warmup_s);
-            events.push_warmed(now + self.cfg.warmup_s, card);
+            events.push(now + self.cfg.warmup_s, Event::Warmed { card });
             self.log.push(ScaleEvent {
                 time: now,
                 card,
@@ -233,7 +233,7 @@ impl Autoscaler {
                     .filter(|&t| t > now)
                     .fold(f64::INFINITY, f64::min);
                 if next.is_finite() && self.pending_check.is_none_or(|t| next < t) {
-                    events.push_scale_check(next);
+                    events.push(next, Event::ScaleCheck);
                     self.pending_check = Some(next);
                 }
             }

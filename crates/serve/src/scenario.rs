@@ -974,8 +974,9 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns [`validate`](ScenarioSpec::validate)'s diagnostic if the
-    /// spec is invalid, or names a fault whose time resolves past the
-    /// largest `f64`; never panics on bad data.
+    /// spec is invalid, or names the first generated arrival or fault
+    /// whose time resolves past the largest `f64`; never panics on bad
+    /// data.
     pub fn run(&self) -> Result<ServeReport, String> {
         self.run_profiled().map(|(report, _)| report)
     }
@@ -985,13 +986,19 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`validate`](ScenarioSpec::validate)'s diagnostic if the
-    /// spec is invalid, or names a fault whose time resolves past the
-    /// largest `f64`; never panics on bad data.
+    /// As [`run`](ScenarioSpec::run).
     pub fn run_profiled(&self) -> Result<(ServeReport, KernelCounters), String> {
         self.validate()?;
         let fleet = self.fleet.config();
         let trace = self.trace();
+        // A valid rate can still be slow enough for the arrival clock to
+        // overflow within the trace.
+        if let Some(i) = trace.iter().position(|r| !r.arrival.is_finite()) {
+            return Err(format!(
+                "arrival {i} of {} resolves to a non-finite time",
+                trace.len()
+            ));
+        }
         let plan = self.fault_plan(&trace)?;
         let mut policy = self.policy.build();
         let mut sim = Simulation::new(&fleet)

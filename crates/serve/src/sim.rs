@@ -394,13 +394,14 @@ impl<'a> Simulation<'a> {
     /// accumulator folds every completion as it fans in, in either mode.
     /// [`TelemetryMode::Exact`] (the default) keeps one `f64` per sample
     /// per distribution and computes exact percentiles;
-    /// [`TelemetryMode::Streaming`] holds fixed memory regardless of
-    /// trace length — P² quantile sketches behind every p50/p95/p99 field
-    /// (the `decode` block's included) plus a bounded time-bucketed gauge
-    /// histogram attached as [`ServeReport::telemetry`] — and omits the
+    /// [`TelemetryMode::Streaming`] holds memory independent of trace
+    /// length — a log-bucketed histogram behind every p50/p95/p99 field
+    /// (the `decode` block's included), each percentile within
+    /// 2⁻⁷ ≈ 0.78 % of the exact one, plus a bounded time-bucketed gauge
+    /// series attached as [`ServeReport::telemetry`] — and omits the
     /// exact-only [`ServeReport::sessions`] block. The *schedule* is
-    /// bitwise identical either way; only the report's summary statistics
-    /// are approximated.
+    /// bitwise identical either way; only the report's percentiles are
+    /// approximated.
     pub fn telemetry(mut self, mode: TelemetryMode) -> Simulation<'a> {
         self.telemetry = mode;
         self
@@ -497,7 +498,7 @@ impl<'a> Simulation<'a> {
             while let Some(event) = next {
                 k.counters.events_by_kind[event.kind_index()] += 1;
                 match event {
-                    Event::Arrival { index } => k.arrival(now, index),
+                    Event::Arrival { index, .. } => k.arrival(now, index),
                     Event::Completion {
                         id, shard, index, ..
                     } => k.completion(now, id, shard, index),
@@ -658,15 +659,17 @@ impl<'k> Kernel<'k> {
         // state. Times before the first arrival clamp to it (a fault
         // cannot precede the trace).
         let mut events = EventQueue::new();
-        events.push_arrival(t0, 0, requests[0].id);
+        let id = requests[0].id;
+        events.push(t0, Event::Arrival { index: 0, id });
         sim.faults.validate(fleet.cards().len());
         for f in sim.faults.events() {
-            let time = f.time.max(t0);
-            match f.kind {
-                FaultKind::Death => events.push_card_death(time, f.card),
-                FaultKind::Degrade { factor } => events.push_card_degrade(time, f.card, factor),
-                FaultKind::Revive { warmup_s } => events.push_card_revive(time, f.card, warmup_s),
-            }
+            let card = f.card;
+            let event = match f.kind {
+                FaultKind::Death => Event::CardDeath { card },
+                FaultKind::Degrade { factor } => Event::CardDegrade { card, factor },
+                FaultKind::Revive { warmup_s } => Event::CardRevive { card, warmup_s },
+            };
+            events.push(f.time.max(t0), event);
         }
         Kernel {
             traced: sink.enabled(),
@@ -716,7 +719,10 @@ impl<'k> Kernel<'k> {
     /// interactive) or shed by admission control.
     fn arrival(&mut self, now: f64, index: usize) {
         match self.table.requests.get(index + 1) {
-            Some(r) => self.events.push_arrival(r.arrival, index + 1, r.id),
+            Some(r) => {
+                let (index, id) = (index + 1, r.id);
+                self.events.push(r.arrival, Event::Arrival { index, id });
+            }
             None => self.arrivals_done = true,
         }
         let request = &self.table.requests[index];
@@ -733,7 +739,8 @@ impl<'k> Kernel<'k> {
         self.queue.push(request, index as u32);
         match self.sim.preemption.wait_threshold_s {
             Some(threshold) if request.class == RequestClass::Interactive => {
-                self.events.push_preemption(now + threshold, request.id);
+                self.events
+                    .push(now + threshold, Event::Preemption { id: request.id });
             }
             _ => {}
         }
@@ -773,7 +780,9 @@ impl<'k> Kernel<'k> {
             // completion at `now` and before any preemption, scaling or
             // fault; the flight stays live with an empty shard chain,
             // keeping the termination check honest.
-            self.events.push_step_complete(now, slot.card, id, index);
+            let card = slot.card;
+            self.events
+                .push(now, Event::StepComplete { card, id, index });
             return;
         }
         meta.live = false;
@@ -876,7 +885,8 @@ impl<'k> Kernel<'k> {
                 .preemption
                 .wait_threshold_s
                 .expect("preemption events only exist when enabled");
-            self.events.push_preemption(now + threshold, waiting);
+            self.events
+                .push(now + threshold, Event::Preemption { id: waiting });
         }
     }
 
@@ -990,7 +1000,7 @@ impl<'k> Kernel<'k> {
             return;
         }
         self.fleet.card_mut(card).revive(now, warmup_s);
-        self.events.push_warmed(now + warmup_s, card);
+        self.events.push(now + warmup_s, Event::Warmed { card });
         self.stale[card] = true;
         self.faults.revivals += 1;
         if self.traced {
@@ -1152,8 +1162,16 @@ impl<'k> Kernel<'k> {
             self.sink
                 .shard_start(now, id, shard, card, pipeline, jobs, admission.finish);
         }
-        self.events
-            .push_completion(admission.finish, card, id, shard, fi as u32);
+        let index = fi as u32;
+        self.events.push(
+            admission.finish,
+            Event::Completion {
+                card,
+                id,
+                shard,
+                index,
+            },
+        );
         // Only the admitting card's state changed.
         self.views[card] = card_view(card, &self.fleet.cards()[card], now);
         admission.finish

@@ -29,12 +29,13 @@
 //!    (the default) keeps one `f64` per sample in each latency
 //!    distribution, sorted once when the report is built, which is what
 //!    keeps exact JSON byte-identical. [`TelemetryMode::Streaming`]
-//!    holds fixed memory instead: a [`StreamingSummary`] of
-//!    [`P2Quantile`] estimators (Jain & Chlamtac's P² algorithm, five
-//!    markers per quantile) behind each p50/p95/p99 field, the decode
-//!    block's included, and [`TimeBuckets`] — a bounded, width-doubling
-//!    time histogram of the gauges that lands in the report as
-//!    [`TelemetrySummary`](crate::metrics::TelemetrySummary). The
+//!    holds memory independent of the sample count instead: a
+//!    log-bucketed histogram in [`crate::metrics`] (64 buckets per power
+//!    of two, keyed by the sample's top 18 bits) behind each
+//!    p50/p95/p99 field, the decode block's included, each within
+//!    2⁻⁷ ≈ 0.78 % of the exact value; and [`TimeBuckets`] — a bounded,
+//!    width-doubling time series of the gauges that lands in the report
+//!    as [`TelemetrySummary`](crate::metrics::TelemetrySummary). The
 //!    session block is exact-only.
 //!
 //! [Perfetto]: https://ui.perfetto.dev
@@ -51,7 +52,7 @@ use std::collections::BTreeMap;
 use crate::event::Event;
 use crate::fleet::FleetConfig;
 use crate::json::Json;
-use crate::metrics::{percentile, LatencySummary, PreemptionRecord, TelemetryBucket};
+use crate::metrics::{PreemptionRecord, TelemetryBucket};
 use crate::request::{CompletedRequest, Request};
 use crate::scale::ScaleEvent;
 
@@ -64,14 +65,16 @@ pub enum TelemetryMode {
     /// hold).
     #[default]
     Exact,
-    /// Fixed-memory accumulation: P² streaming quantiles behind the
-    /// p50/p95/p99 fields and a bounded time-bucketed gauge histogram in
+    /// Accumulation in memory independent of the sample count: a
+    /// log-bucketed histogram (64 buckets per power of two) behind the
+    /// p50/p95/p99 fields and a bounded time-bucketed gauge series in
     /// [`ServeReport::telemetry`](crate::metrics::ServeReport::telemetry);
     /// no [`ServeReport::sessions`](crate::metrics::ServeReport::sessions)
     /// block.
     /// The schedule is bitwise identical to Exact — only the report's
-    /// summary statistics are approximate (see [`P2Quantile`] for the
-    /// tested error bounds).
+    /// percentiles are approximate, each within 2⁻⁷ ≈ 0.78 % of the
+    /// exact value; `max` and every count are exact, and `mean` differs
+    /// only by summation order.
     Streaming,
 }
 
@@ -962,202 +965,6 @@ impl KernelCounters {
     }
 }
 
-/// Streaming quantile estimation: Jain & Chlamtac's P² algorithm. Five
-/// markers track the target quantile and its neighbourhood in O(1) memory
-/// and O(1) per observation; below five observations the estimate is the
-/// exact nearest-rank quantile of what has been seen.
-///
-/// Accuracy depends on the distribution's shape. On a single class's
-/// latency distribution (unimodal with a long right tail), the tested
-/// bound is **≤ 15 % relative error** against the exact nearest-rank
-/// percentile at p50/p95/p99 over a 10 000-request run, with typical
-/// error under 7 %. The *overall* latency of a multi-class mix is a
-/// mixture of distributions at different scales, where a median estimate
-/// can drift to ~20 % (tested bound ≤ 25 %) — prefer the per-class
-/// summaries when classes differ. Both bounds are pinned by
-/// `streaming_quantiles_track_exact_within_bounds` in
-/// `tests/proptest_serve.rs`.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    p: f64,
-    count: u64,
-    heights: [f64; 5],
-    positions: [f64; 5],
-    desired: [f64; 5],
-    rates: [f64; 5],
-}
-
-impl P2Quantile {
-    /// An estimator for quantile `p` in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn new(p: f64) -> P2Quantile {
-        assert!((0.0..=1.0).contains(&p), "quantile out of range");
-        P2Quantile {
-            p,
-            count: 0,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            rates: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-        }
-    }
-
-    /// Observations folded in so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Folds one observation into the sketch.
-    pub fn observe(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count as usize] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights.sort_by(f64::total_cmp);
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Locate the cell and clamp the extremes.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            // heights[k] <= x < heights[k + 1]
-            (1..4).rfind(|&i| self.heights[i] <= x).unwrap_or(0)
-        };
-        for i in (k + 1)..5 {
-            self.positions[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.rates[i];
-        }
-
-        // Nudge the three interior markers toward their desired
-        // positions, parabolic when the neighbourhood allows, linear
-        // otherwise.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            if (d >= 1.0 && self.positions[i + 1] - self.positions[i] > 1.0)
-                || (d <= -1.0 && self.positions[i - 1] - self.positions[i] < -1.0)
-            {
-                let d = d.signum();
-                let h = self.parabolic(i, d);
-                self.heights[i] = if self.heights[i - 1] < h && h < self.heights[i + 1] {
-                    h
-                } else {
-                    self.linear(i, d)
-                };
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let q = &self.heights;
-        let n = &self.positions;
-        q[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// The current estimate: the middle marker's height, or the exact
-    /// nearest-rank quantile while fewer than five observations have
-    /// arrived (0 for an empty sketch).
-    pub fn value(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if self.count < 5 {
-            let mut seen = self.heights[..self.count as usize].to_vec();
-            seen.sort_by(f64::total_cmp);
-            return percentile(&seen, self.p);
-        }
-        self.heights[2]
-    }
-}
-
-/// Fixed-memory latency distribution summary: running count/mean/max plus
-/// one [`P2Quantile`] per reported percentile. This is what Streaming
-/// telemetry puts behind [`LatencySummary`]'s fields.
-#[derive(Debug, Clone)]
-pub struct StreamingSummary {
-    count: u64,
-    mean: f64,
-    max: f64,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
-}
-
-impl Default for StreamingSummary {
-    fn default() -> StreamingSummary {
-        StreamingSummary::new()
-    }
-}
-
-impl StreamingSummary {
-    /// An empty summary.
-    pub fn new() -> StreamingSummary {
-        StreamingSummary {
-            count: 0,
-            mean: 0.0,
-            max: 0.0,
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
-        }
-    }
-
-    /// Observations folded in so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Folds one observation in.
-    pub fn observe(&mut self, x: f64) {
-        self.count += 1;
-        self.mean += (x - self.mean) / self.count as f64;
-        self.max = self.max.max(x);
-        self.p50.observe(x);
-        self.p95.observe(x);
-        self.p99.observe(x);
-    }
-
-    /// The summary so far (`None` before any observation). Estimates are
-    /// clamped into `[0, max]` and ordered p50 ≤ p95 ≤ p99 — the P²
-    /// markers are independent, so raw estimates could cross by float
-    /// noise where exact percentiles cannot.
-    pub fn summary(&self) -> Option<LatencySummary> {
-        if self.count == 0 {
-            return None;
-        }
-        let p50 = self.p50.value().clamp(0.0, self.max);
-        let p95 = self.p95.value().clamp(p50, self.max);
-        let p99 = self.p99.value().clamp(p95, self.max);
-        Some(LatencySummary {
-            p50,
-            p95,
-            p99,
-            mean: self.mean,
-            max: self.max,
-        })
-    }
-}
-
 /// Bounded bucket count for [`TimeBuckets`]: when a run outgrows the
 /// capacity, adjacent buckets merge and the bucket width doubles, so
 /// memory stays fixed for arbitrarily long runs.
@@ -1303,123 +1110,12 @@ impl TimeBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swat_numeric::SplitMix64;
-
-    /// Uniform in `[0, 1)` with full f64 mantissa resolution.
-    fn next_f64(rng: &mut SplitMix64) -> f64 {
-        (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 
     #[test]
     fn null_sink_is_disabled_and_others_enabled() {
         assert!(!NullSink.enabled());
         assert!(RecordingSink::new().enabled());
         assert!(ChromeTraceSink::new(&FleetConfig::standard(1)).enabled());
-    }
-
-    #[test]
-    fn p2_is_exact_below_five_samples() {
-        let mut q = P2Quantile::new(0.5);
-        assert_eq!(q.value(), 0.0, "empty sketch reads zero");
-        for x in [3.0, 1.0, 2.0] {
-            q.observe(x);
-        }
-        assert_eq!(q.value(), 2.0, "median of {{1,2,3}} is exact");
-        assert_eq!(q.count(), 3);
-    }
-
-    #[test]
-    fn p2_crosses_the_five_sample_boundary_exactly() {
-        // Every count in 1..=4 must report the exact nearest-rank
-        // quantile regardless of insertion order; the fifth observation
-        // flips the sketch to marker mode, whose first estimate is the
-        // true median of the five (markers start at the sorted sample).
-        let xs = [5.0, 1.0, 4.0, 2.0, 3.0];
-        let mut q50 = P2Quantile::new(0.5);
-        let mut q99 = P2Quantile::new(0.99);
-        for (i, &x) in xs.iter().enumerate() {
-            q50.observe(x);
-            q99.observe(x);
-            let mut sorted = xs[..=i].to_vec();
-            sorted.sort_by(f64::total_cmp);
-            if i < 4 {
-                assert_eq!(q50.value(), percentile(&sorted, 0.5), "count {}", i + 1);
-                assert_eq!(q99.value(), percentile(&sorted, 0.99), "count {}", i + 1);
-            }
-        }
-        assert_eq!(q50.count(), 5);
-        assert_eq!(q50.value(), 3.0, "first marker-mode estimate is exact");
-        assert_eq!(
-            q99.value(),
-            3.0,
-            "marker mode reads the middle marker until it drifts toward p"
-        );
-        // The q99 middle marker then climbs toward the tail as mass
-        // accumulates above it.
-        for _ in 0..20 {
-            q99.observe(5.0);
-        }
-        assert!(
-            q99.value() > 3.0 && q99.value() <= 5.0,
-            "q99 estimate drifts up: {}",
-            q99.value()
-        );
-    }
-
-    #[test]
-    fn p2_tracks_uniform_quantiles() {
-        // Uniform [0, 1) via SplitMix64: the p-quantile is p.
-        let mut rng = SplitMix64::new(7);
-        let mut q50 = P2Quantile::new(0.50);
-        let mut q95 = P2Quantile::new(0.95);
-        for _ in 0..20_000 {
-            let x = next_f64(&mut rng);
-            q50.observe(x);
-            q95.observe(x);
-        }
-        assert!((q50.value() - 0.50).abs() < 0.02, "p50 = {}", q50.value());
-        assert!((q95.value() - 0.95).abs() < 0.02, "p95 = {}", q95.value());
-    }
-
-    #[test]
-    fn p2_tracks_exact_on_a_long_tailed_sample() {
-        // Exponential-ish long tail: -ln(1-u) via the uniform generator,
-        // the shape latency distributions actually take.
-        let mut rng = SplitMix64::new(13);
-        let xs: Vec<f64> = (0..10_000)
-            .map(|_| -(1.0 - next_f64(&mut rng)).ln())
-            .collect();
-        for (p, tol) in [(0.5, 0.05), (0.95, 0.10), (0.99, 0.15)] {
-            let mut sketch = P2Quantile::new(p);
-            for &x in &xs {
-                sketch.observe(x);
-            }
-            let mut sorted = xs.clone();
-            sorted.sort_by(f64::total_cmp);
-            let exact = percentile(&sorted, p);
-            let rel = (sketch.value() - exact).abs() / exact;
-            assert!(
-                rel < tol,
-                "p{}: {} vs exact {} ({rel:.3} rel)",
-                p * 100.0,
-                sketch.value(),
-                exact
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_summary_is_ordered_and_clamped() {
-        let mut s = StreamingSummary::new();
-        assert!(s.summary().is_none());
-        let mut rng = SplitMix64::new(99);
-        for _ in 0..5_000 {
-            s.observe(next_f64(&mut rng) * 3.0);
-        }
-        let sum = s.summary().expect("populated");
-        assert!(sum.p50 <= sum.p95 && sum.p95 <= sum.p99 && sum.p99 <= sum.max);
-        assert!(sum.mean > 0.0 && sum.mean < sum.max);
-        assert_eq!(s.count(), 5_000);
     }
 
     #[test]

@@ -326,3 +326,50 @@ fn overflowing_fault_time_is_a_diagnostic_not_a_panic() {
     let err = spec.run().unwrap_err();
     assert!(err.contains("fault 1"), "{err}");
 }
+
+#[test]
+fn shard_cap_above_the_fleet_runs_like_a_cap_at_the_fleet() {
+    // Two dual-pipeline cards: no plan fills more than four pipelines,
+    // so a cap far past that must neither reserve memory for it nor
+    // change a byte of the report.
+    for adaptive in [true, false] {
+        for sjf in [false, true] {
+            let spec = |max_shards| ScenarioSpec {
+                fleet: FleetSpec::standard(2),
+                arrivals: ArrivalProcess::poisson(20.0),
+                policy: if sjf {
+                    PolicySpec::ShardedShortestJobFirst {
+                        max_shards,
+                        adaptive,
+                    }
+                } else {
+                    PolicySpec::ShardedLeastLoaded {
+                        max_shards,
+                        adaptive,
+                    }
+                },
+                requests: 50,
+                ..ScenarioSpec::default()
+            };
+            let huge = spec(1 << 61).run().expect("an oversized cap is valid");
+            let at_fleet = spec(4).run().expect("valid spec");
+            assert!(huge.max_shards > 1, "the run fanned out");
+            assert_eq!(huge.to_json().pretty(), at_fleet.to_json().pretty());
+        }
+    }
+}
+
+#[test]
+fn overflowing_arrival_time_is_a_diagnostic_not_a_panic() {
+    // Poisson(1e-307) gaps are ~1e307 s apiece: fifty of them overflow
+    // the arrival clock to infinity.
+    let spec = ScenarioSpec {
+        arrivals: ArrivalProcess::poisson(1e-307),
+        requests: 50,
+        ..ScenarioSpec::default()
+    };
+    let err = spec.run().unwrap_err();
+    assert!(err.contains("arrival"), "{err}");
+    let err = spec.run_profiled().unwrap_err();
+    assert!(err.contains("non-finite"), "{err}");
+}
