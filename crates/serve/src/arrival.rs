@@ -161,40 +161,47 @@ impl ArrivalProcess {
         }
     }
 
-    /// Checks the rate parameters are usable.
+    /// Checks the parameters are usable: every rate and duration positive
+    /// and finite (a flash crowd's onset may be zero), and a peak rate no
+    /// lower than its base.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on non-positive or non-finite rates, or `peak < base`.
-    fn validate(&self) {
-        let pos = |x: f64, what: &str| {
-            assert!(
-                x.is_finite() && x > 0.0,
-                "{what} must be positive and finite"
-            );
+    /// Returns a diagnostic naming the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |name: &str, v: f64| {
+            if v.is_finite() && v > 0.0 {
+                Ok(())
+            } else {
+                Err(format!(
+                    "arrivals {name} must be positive and finite, got {v}"
+                ))
+            }
         };
-        match *self {
-            ArrivalProcess::Poisson { rate_per_sec } => pos(rate_per_sec, "rate"),
+        let (base_rate, peak_rate) = match *self {
+            ArrivalProcess::Poisson { rate_per_sec } => {
+                return positive("rate_per_sec", rate_per_sec)
+            }
             ArrivalProcess::Bursty {
                 base_rate,
                 burst_rate,
                 mean_burst_s,
                 mean_gap_s,
             } => {
-                pos(base_rate, "base rate");
-                pos(burst_rate, "burst rate");
-                pos(mean_burst_s, "mean burst");
-                pos(mean_gap_s, "mean gap");
+                positive("base_rate", base_rate)?;
+                positive("burst_rate", burst_rate)?;
+                positive("mean_burst_s", mean_burst_s)?;
+                return positive("mean_gap_s", mean_gap_s);
             }
             ArrivalProcess::Diurnal {
                 base_rate,
                 peak_rate,
                 period_s,
             } => {
-                pos(base_rate, "base rate");
-                pos(peak_rate, "peak rate");
-                pos(period_s, "period");
-                assert!(peak_rate >= base_rate, "peak rate must be >= base rate");
+                positive("base_rate", base_rate)?;
+                positive("peak_rate", peak_rate)?;
+                positive("period_s", period_s)?;
+                (base_rate, peak_rate)
             }
             ArrivalProcess::FlashCrowd {
                 base_rate,
@@ -202,28 +209,36 @@ impl ArrivalProcess {
                 onset_s,
                 decay_s,
             } => {
-                pos(base_rate, "base rate");
-                pos(peak_rate, "peak rate");
-                pos(decay_s, "decay");
-                assert!(
-                    onset_s.is_finite() && onset_s >= 0.0,
-                    "onset must be non-negative and finite"
-                );
-                assert!(peak_rate >= base_rate, "peak rate must be >= base rate");
+                positive("base_rate", base_rate)?;
+                positive("peak_rate", peak_rate)?;
+                positive("decay_s", decay_s)?;
+                if !(onset_s.is_finite() && onset_s >= 0.0) {
+                    return Err(format!(
+                        "arrivals onset_s must be non-negative and finite, got {onset_s}"
+                    ));
+                }
+                (base_rate, peak_rate)
             }
+        };
+        if peak_rate < base_rate {
+            return Err(format!(
+                "arrivals peak rate must be >= base rate, got peak_rate {peak_rate} and base_rate {base_rate}"
+            ));
         }
+        Ok(())
     }
 
-    /// The first `n` arrival times, strictly increasing, seconds.
+    /// The first `n` arrival times, strictly increasing, seconds. Panics
+    /// with [`validate`](ArrivalProcess::validate)'s diagnostic.
     pub fn times(&self, n: usize, seed: u64) -> Vec<f64> {
-        self.validate();
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut gen = ArrivalGen::new(*self, seed);
         (0..n).map(|_| gen.next_arrival()).collect()
     }
 
     /// All arrivals inside `[0, horizon)` seconds.
     pub fn times_in(&self, horizon: f64, seed: u64) -> Vec<f64> {
-        self.validate();
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         assert!(
             horizon.is_finite() && horizon > 0.0,
             "horizon must be positive"

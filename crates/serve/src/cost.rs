@@ -165,16 +165,10 @@ impl CardCostModel {
     /// cumulative) and recalibrates [`CardCostModel::seconds_per_token`]
     /// so policy rankings and restart penalties track the degradation.
     /// The swap stall is untouched — the host link is not the part that
-    /// degraded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is below 1 or not finite.
+    /// degraded. Factors arrive from a fault plan, whose
+    /// [`FaultEvent::validate`](crate::fault::FaultEvent::validate) holds
+    /// them finite and at least 1.
     pub(crate) fn set_degrade(&mut self, factor: f64) {
-        assert!(
-            factor.is_finite() && factor >= 1.0,
-            "degrade factors must be finite and at least 1"
-        );
         self.degrade = factor;
         self.seconds_per_token =
             self.service_seconds(&CALIBRATION_SHAPE) / CALIBRATION_SHAPE.work_tokens() as f64;

@@ -12,7 +12,7 @@
 //!
 //! Semantics at delivery (see `sim.rs` for the mechanics):
 //!
-//! - **Death** loses every in-flight shard on the card. Each shard's
+//! - **Kill** loses every in-flight shard on the card. Each shard's
 //!   checkpointed jobs survive (checkpoints live off-card, the same
 //!   durability preemption assumes) and its unfinished tail requeues as
 //!   a remnant through the existing preemption/remnant machinery, owing
@@ -30,11 +30,11 @@
 
 use swat_numeric::SplitMix64;
 
-/// What a scheduled fault does to its card.
+/// What a scheduled fault does to its card (the DSL's [`crate::scenario::FaultKindSpec`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
-    /// The card fails: in-flight shards lost, capacity gone.
-    Death,
+    /// The card dies: in-flight shards are evicted and requeued.
+    Kill,
     /// The card's calibration shifts: service times stretch by `factor`.
     Degrade {
         /// Service-time multiplier (finite, ≥ 1).
@@ -57,6 +57,31 @@ pub struct FaultEvent {
     pub card: usize,
     /// What happens.
     pub kind: FaultKind,
+}
+
+impl FaultEvent {
+    /// Checks the fault's own values (its card is checked against a
+    /// fleet by [`FaultPlan::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a diagnostic naming a negative or non-finite time or
+    /// warm-up, or a degrade factor below 1 or non-finite.
+    pub fn validate(&self) -> Result<(), String> {
+        let time = self.time;
+        if !(time.is_finite() && time >= 0.0) {
+            return Err(format!("time must be non-negative and finite, got {time}"));
+        }
+        match self.kind {
+            FaultKind::Degrade { factor } if !(factor.is_finite() && factor >= 1.0) => Err(
+                format!("degrade factor must be finite and at least 1, got {factor}"),
+            ),
+            FaultKind::Revive { warmup_s } if !(warmup_s.is_finite() && warmup_s >= 0.0) => Err(
+                format!("revival warm-up must be non-negative and finite, got {warmup_s}"),
+            ),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// A declarative, seeded schedule of faults for one run.
@@ -100,18 +125,15 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `time` is negative or not finite.
-    pub fn kill(mut self, time: f64, card: usize) -> FaultPlan {
-        assert!(
-            time.is_finite() && time >= 0.0,
-            "fault times must be non-negative and finite"
-        );
-        self.events.push(FaultEvent {
+    /// Panics with [`FaultEvent::validate`]'s diagnostic if `time` is
+    /// negative or not finite.
+    pub fn kill(self, time: f64, card: usize) -> FaultPlan {
+        self.push(FaultEvent {
             time,
             card,
-            kind: FaultKind::Death,
-        });
-        self
+            kind: FaultKind::Kill,
+        })
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Schedules a calibration shift of `card` to `factor`× at `time`.
@@ -120,23 +142,15 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `time` is negative or not finite, or `factor` is below
-    /// 1 or not finite.
-    pub fn degrade(mut self, time: f64, card: usize, factor: f64) -> FaultPlan {
-        assert!(
-            time.is_finite() && time >= 0.0,
-            "fault times must be non-negative and finite"
-        );
-        assert!(
-            factor.is_finite() && factor >= 1.0,
-            "degrade factors must be finite and at least 1"
-        );
-        self.events.push(FaultEvent {
+    /// Panics with [`FaultEvent::validate`]'s diagnostic if `time` is
+    /// negative or not finite, or `factor` is below 1 or not finite.
+    pub fn degrade(self, time: f64, card: usize, factor: f64) -> FaultPlan {
+        self.push(FaultEvent {
             time,
             card,
             kind: FaultKind::Degrade { factor },
-        });
-        self
+        })
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Schedules the revival of `card` at `time`, dispatchable after
@@ -144,23 +158,25 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `time` is negative or not finite, or `warmup_s` is
-    /// negative or not finite.
-    pub fn revive(mut self, time: f64, card: usize, warmup_s: f64) -> FaultPlan {
-        assert!(
-            time.is_finite() && time >= 0.0,
-            "fault times must be non-negative and finite"
-        );
-        assert!(
-            warmup_s.is_finite() && warmup_s >= 0.0,
-            "revival warm-up must be non-negative and finite"
-        );
-        self.events.push(FaultEvent {
+    /// Panics with [`FaultEvent::validate`]'s diagnostic if `time` or
+    /// `warmup_s` is negative or not finite.
+    pub fn revive(self, time: f64, card: usize, warmup_s: f64) -> FaultPlan {
+        self.push(FaultEvent {
             time,
             card,
             kind: FaultKind::Revive { warmup_s },
-        });
-        self
+        })
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Appends `event` if it passes [`FaultEvent::validate`]; the
+    /// diagnostic is prefixed with the fault's index in the plan.
+    pub(crate) fn push(mut self, event: FaultEvent) -> Result<FaultPlan, String> {
+        event
+            .validate()
+            .map_err(|e| format!("fault {} {e}", self.events.len()))?;
+        self.events.push(event);
+        Ok(self)
     }
 
     /// A seeded fault storm for chaos testing: `n` faults drawn over
@@ -196,20 +212,20 @@ impl FaultPlan {
         plan
     }
 
-    /// Validates every scheduled card index against a fleet of `cards`.
+    /// Checks every scheduled card index against a fleet of `cards` (each
+    /// fault's own values were checked as it was scheduled).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any fault names a card outside the fleet.
-    pub fn validate(&self, cards: usize) {
-        for e in &self.events {
-            assert!(
-                e.card < cards,
-                "fault at t={} names card {} of a {}-card fleet",
-                e.time,
-                e.card,
-                cards
-            );
+    /// Returns a diagnostic naming the first fault aimed at a card
+    /// outside the fleet.
+    pub fn validate(&self, cards: usize) -> Result<(), String> {
+        match self.events.iter().position(|e| e.card >= cards) {
+            Some(i) => Err(format!(
+                "fault {i} names card {} of a {cards}-card fleet",
+                self.events[i].card
+            )),
+            None => Ok(()),
         }
     }
 }
@@ -225,11 +241,11 @@ mod tests {
             .degrade(0.5, 0, 2.0)
             .revive(4.0, 2, 1.0);
         assert_eq!(plan.events().len(), 3);
-        assert_eq!(plan.events()[0].kind, FaultKind::Death);
+        assert_eq!(plan.events()[0].kind, FaultKind::Kill);
         assert_eq!(plan.events()[1].kind, FaultKind::Degrade { factor: 2.0 });
         assert_eq!(plan.events()[2].kind, FaultKind::Revive { warmup_s: 1.0 });
         assert!(!plan.is_empty());
-        plan.validate(3);
+        assert_eq!(plan.validate(3), Ok(()));
     }
 
     #[test]
@@ -242,7 +258,7 @@ mod tests {
         assert_eq!(
             a.events()
                 .iter()
-                .filter(|e| matches!(e.kind, FaultKind::Death))
+                .filter(|e| matches!(e.kind, FaultKind::Kill))
                 .count(),
             a.events()
                 .iter()
@@ -257,13 +273,13 @@ mod tests {
                 assert!((1.0..3.0).contains(&factor));
             }
         }
-        a.validate(4);
+        assert_eq!(a.validate(4), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "names card 5")]
     fn validation_rejects_out_of_fleet_cards() {
-        FaultPlan::none().kill(1.0, 5).validate(3);
+        let err = FaultPlan::none().kill(1.0, 5).validate(3).unwrap_err();
+        assert!(err.contains("names card 5"), "{err}");
     }
 
     #[test]

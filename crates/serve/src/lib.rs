@@ -133,8 +133,8 @@ pub use policy::{DispatchPolicy, LeastLoaded, SessionAffinity, ShortestJobFirst}
 pub use request::Request;
 pub use scale::{Autoscaler, AutoscalerConfig, ScaleEvent};
 pub use scenario::{
-    CardDesign, CardGroupSpec, FaultKindSpec, FaultSpec, FleetSpec, MemorySpec, PolicySpec,
-    PreemptionSpec, ScenarioSpec, TrafficModel,
+    CardDesign, CardGroupSpec, FaultSpec, FleetSpec, MemorySpec, PolicySpec, PreemptionSpec,
+    ScenarioSpec, TrafficModel,
 };
 pub use session::{SessionProfile, SessionTraffic};
 pub use sim::{AdmissionControl, DecodeBatching, PreemptionControl, Simulation, TrafficSpec};

@@ -85,22 +85,29 @@ impl AutoscalerConfig {
 
     /// Checks the law is usable.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `min_cards` is zero (a fleet with nothing powered can
-    /// never drain its queue), `up_queue_per_card` is zero, or either
-    /// duration is negative or non-finite.
-    pub fn validate(&self) {
-        assert!(self.min_cards > 0, "min_cards must be at least 1");
-        assert!(self.up_queue_per_card > 0, "up_queue_per_card must be > 0");
-        assert!(
-            self.down_idle_s.is_finite() && self.down_idle_s >= 0.0,
-            "down_idle_s must be finite and non-negative"
-        );
-        assert!(
-            self.warmup_s.is_finite() && self.warmup_s >= 0.0,
-            "warmup_s must be finite and non-negative"
-        );
+    /// Returns a diagnostic if `min_cards` is zero (a fleet with nothing
+    /// powered can never drain its queue), `up_queue_per_card` is zero,
+    /// or either duration is negative or non-finite.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.min_cards == 0 {
+            return Err("autoscaler min_cards must be at least 1".to_string());
+        }
+        if self.up_queue_per_card == 0 {
+            return Err("autoscaler up_queue_per_card must be at least 1".to_string());
+        }
+        for (name, v) in [
+            ("down_idle_s", self.down_idle_s),
+            ("warmup_s", self.warmup_s),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!(
+                    "autoscaler {name} must be non-negative and finite, got {v}"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -135,9 +142,9 @@ impl Autoscaler {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`AutoscalerConfig::validate`].
+    /// Panics with [`AutoscalerConfig::validate`]'s diagnostic.
     pub fn new(cfg: AutoscalerConfig) -> Autoscaler {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Autoscaler {
             cfg,
             log: Vec::new(),

@@ -15,10 +15,11 @@
 //! axes (fleet size, shard width, autoscaling, batching mode).
 //!
 //! Construction is fallible where the underlying builders panic:
-//! [`ScenarioSpec::validate`] returns a diagnostic (`Err(String)`) for a
-//! zero-card fleet, an empty trace, a non-finite rate, an out-of-range
-//! fault card, and every other way a hand-edited JSON spec can go wrong
-//! — so operator tooling can reject bad input instead of crashing.
+//! [`ScenarioSpec::validate`] calls each layer's own `validate()` — the
+//! one home of every rule, whose diagnostic the builder panics with —
+//! and adds the rules only a spec can break (an empty fleet or trace),
+//! so a hand-edited JSON spec comes back as an `Err(String)` naming the
+//! bad field instead of crashing operator tooling.
 //!
 //! # Examples
 //!
@@ -46,7 +47,7 @@
 //! ```
 
 use crate::arrival::ArrivalProcess;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::fleet::{CardGroup, FleetConfig};
 use crate::json::Json;
 use crate::metrics::ServeReport;
@@ -56,7 +57,9 @@ use crate::policy::{
 use crate::request::Request;
 use crate::scale::AutoscalerConfig;
 use crate::session::SessionTraffic;
-use crate::sim::{AdmissionControl, DecodeBatching, PreemptionControl, Simulation, TrafficSpec};
+use crate::sim::{
+    check_trace, AdmissionControl, DecodeBatching, PreemptionControl, Simulation, TrafficSpec,
+};
 use crate::trace::KernelCounters;
 use swat::SwatConfig;
 use swat_hw::MemoryInterface;
@@ -567,25 +570,13 @@ pub struct FaultSpec {
     /// Target card (fleet index).
     pub card: usize,
     /// What happens.
-    pub kind: FaultKindSpec,
+    pub kind: FaultKind,
 }
 
-/// The kind of scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultKindSpec {
-    /// The card dies; in-flight shards are evicted and requeued.
-    Kill,
-    /// The card's calibration stretches by `factor` (absolute, ≥ 1).
-    Degrade {
-        /// Service-time multiplier.
-        factor: f64,
-    },
-    /// A dead card comes back, dispatchable after `warmup_s`.
-    Revive {
-        /// Warm-up before the revived card takes work, seconds.
-        warmup_s: f64,
-    },
-}
+/// The kind of scheduled fault: the DSL's name for [`FaultKind`], whose
+/// `Kill`, `Degrade { factor }` and `Revive { warmup_s }` are the JSON
+/// `kind`s `kill`, `degrade` and `revive`.
+pub use crate::fault::FaultKind as FaultKindSpec;
 
 impl FaultSpec {
     fn to_json(self) -> Json {
@@ -594,12 +585,12 @@ impl FaultSpec {
             ("card", Json::Int(self.card as i64)),
         ];
         match self.kind {
-            FaultKindSpec::Kill => pairs.push(("kind", Json::Str("kill".into()))),
-            FaultKindSpec::Degrade { factor } => {
+            FaultKind::Kill => pairs.push(("kind", Json::Str("kill".into()))),
+            FaultKind::Degrade { factor } => {
                 pairs.push(("kind", Json::Str("degrade".into())));
                 pairs.push(("factor", Json::Num(factor)));
             }
-            FaultKindSpec::Revive { warmup_s } => {
+            FaultKind::Revive { warmup_s } => {
                 pairs.push(("kind", Json::Str("revive".into())));
                 pairs.push(("warmup_s", Json::Num(warmup_s)));
             }
@@ -610,11 +601,11 @@ impl FaultSpec {
     fn from_json(json: &Json) -> Result<FaultSpec, String> {
         let obj = as_obj(json, "fault")?;
         let kind = match as_str(get(obj, "fault.kind", "kind")?, "fault.kind")? {
-            "kill" => FaultKindSpec::Kill,
-            "degrade" => FaultKindSpec::Degrade {
+            "kill" => FaultKind::Kill,
+            "degrade" => FaultKind::Degrade {
                 factor: as_f64(get(obj, "fault.factor", "factor")?, "factor")?,
             },
-            "revive" => FaultKindSpec::Revive {
+            "revive" => FaultKind::Revive {
                 warmup_s: as_f64(get(obj, "fault.warmup_s", "warmup_s")?, "warmup_s")?,
             },
             other => return Err(format!("unknown fault kind {other:?}")),
@@ -685,14 +676,14 @@ impl Default for ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Checks every field against the constraints the underlying
-    /// builders would otherwise enforce by panicking.
+    /// Checks every field by calling the `validate()` of the type that
+    /// owns it (whose diagnostic that type's builders panic with), plus
+    /// the rules only a spec can break: an empty fleet or trace, a
+    /// non-positive bandwidth, a zero shard cap or affinity capacity.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable diagnostic naming the offending field —
-    /// a zero-card fleet, an empty trace, a non-finite or non-positive
-    /// rate, a fault aimed at a card outside the fleet, and so on.
+    /// Returns the first diagnostic, naming the offending field.
     pub fn validate(&self) -> Result<(), String> {
         if self.fleet.groups.is_empty() {
             return Err("fleet has no card groups".to_string());
@@ -712,8 +703,14 @@ impl ScenarioSpec {
         if self.requests == 0 {
             return Err("requests must be positive (the trace would be empty)".to_string());
         }
-        self.validate_arrivals()?;
-        self.validate_traffic()?;
+        self.arrivals.validate()?;
+        match &self.traffic {
+            TrafficModel::Mix {
+                decode: Some(d), ..
+            } => d.validate()?,
+            TrafficModel::Mix { decode: None, .. } => {}
+            TrafficModel::Sessions { profile } => profile.validate()?,
+        }
         match self.policy {
             PolicySpec::ShardedLeastLoaded { max_shards, .. }
             | PolicySpec::ShardedShortestJobFirst { max_shards, .. }
@@ -728,179 +725,21 @@ impl ScenarioSpec {
             }
             _ => {}
         }
-        match self.preemption {
-            PreemptionSpec::AfterWait { threshold_s }
-            | PreemptionSpec::CostAware { threshold_s }
-                if !(threshold_s.is_finite() && threshold_s > 0.0) =>
-            {
-                return Err(format!(
-                    "preemption threshold must be positive and finite, got {threshold_s}"
-                ));
+        if let PreemptionSpec::AfterWait { threshold_s }
+        | PreemptionSpec::CostAware { threshold_s } = self.preemption
+        {
+            PreemptionControl {
+                wait_threshold_s: Some(threshold_s),
+                cost_aware_victims: false,
             }
-            _ => {}
+            .validate()?;
         }
         if let Some(cfg) = self.autoscale {
-            if cfg.min_cards == 0 {
-                return Err("autoscaler min_cards must be at least 1".to_string());
-            }
-            if cfg.up_queue_per_card == 0 {
-                return Err("autoscaler up_queue_per_card must be at least 1".to_string());
-            }
-            if !(cfg.down_idle_s.is_finite() && cfg.down_idle_s >= 0.0) {
-                return Err(format!(
-                    "autoscaler down_idle_s must be non-negative and finite, got {}",
-                    cfg.down_idle_s
-                ));
-            }
-            if !(cfg.warmup_s.is_finite() && cfg.warmup_s >= 0.0) {
-                return Err(format!(
-                    "autoscaler warmup_s must be non-negative and finite, got {}",
-                    cfg.warmup_s
-                ));
-            }
+            cfg.validate()?;
         }
-        let cards = self.fleet.cards();
-        for (i, f) in self.faults.iter().enumerate() {
-            if !(f.at_frac.is_finite() && f.at_frac >= 0.0) {
-                return Err(format!(
-                    "fault {i} time fraction must be non-negative and finite, got {}",
-                    f.at_frac
-                ));
-            }
-            if f.card >= cards {
-                return Err(format!(
-                    "fault {i} names card {} of a {cards}-card fleet",
-                    f.card
-                ));
-            }
-            match f.kind {
-                FaultKindSpec::Degrade { factor } if !(factor.is_finite() && factor >= 1.0) => {
-                    return Err(format!(
-                        "fault {i} degrade factor must be finite and at least 1, got {factor}"
-                    ));
-                }
-                FaultKindSpec::Revive { warmup_s }
-                    if !(warmup_s.is_finite() && warmup_s >= 0.0) =>
-                {
-                    return Err(format!(
-                        "fault {i} revival warm-up must be non-negative and finite, got {warmup_s}"
-                    ));
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    fn validate_arrivals(&self) -> Result<(), String> {
-        let positive = |name: &str, v: f64| {
-            if v.is_finite() && v > 0.0 {
-                Ok(())
-            } else {
-                Err(format!(
-                    "arrivals {name} must be positive and finite, got {v}"
-                ))
-            }
-        };
-        match self.arrivals {
-            ArrivalProcess::Poisson { rate_per_sec } => positive("rate_per_sec", rate_per_sec),
-            ArrivalProcess::Bursty {
-                base_rate,
-                burst_rate,
-                mean_burst_s,
-                mean_gap_s,
-            } => {
-                positive("base_rate", base_rate)?;
-                positive("burst_rate", burst_rate)?;
-                positive("mean_burst_s", mean_burst_s)?;
-                positive("mean_gap_s", mean_gap_s)
-            }
-            ArrivalProcess::Diurnal {
-                base_rate,
-                peak_rate,
-                period_s,
-            } => {
-                positive("base_rate", base_rate)?;
-                positive("peak_rate", peak_rate)?;
-                positive("period_s", period_s)?;
-                if peak_rate < base_rate {
-                    return Err(format!(
-                        "arrivals peak_rate {peak_rate} must be at least base_rate {base_rate}"
-                    ));
-                }
-                Ok(())
-            }
-            ArrivalProcess::FlashCrowd {
-                base_rate,
-                peak_rate,
-                onset_s,
-                decay_s,
-            } => {
-                positive("base_rate", base_rate)?;
-                positive("peak_rate", peak_rate)?;
-                positive("decay_s", decay_s)?;
-                if !(onset_s.is_finite() && onset_s >= 0.0) {
-                    return Err(format!(
-                        "arrivals onset_s must be non-negative and finite, got {onset_s}"
-                    ));
-                }
-                if peak_rate < base_rate {
-                    return Err(format!(
-                        "arrivals peak_rate {peak_rate} must be at least base_rate {base_rate}"
-                    ));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn validate_traffic(&self) -> Result<(), String> {
-        match &self.traffic {
-            TrafficModel::Mix { decode, .. } => {
-                if let Some(d) = decode {
-                    if d.min_steps == 0 {
-                        return Err("decode plans need at least one step".to_string());
-                    }
-                    if d.max_steps < d.min_steps {
-                        return Err(format!(
-                            "decode max_steps {} must be >= min_steps {}",
-                            d.max_steps, d.min_steps
-                        ));
-                    }
-                    if !(d.exit_prob.is_finite() && (0.0..1.0).contains(&d.exit_prob)) {
-                        return Err(format!(
-                            "decode exit_prob must be in [0, 1), got {}",
-                            d.exit_prob
-                        ));
-                    }
-                }
-                Ok(())
-            }
-            TrafficModel::Sessions { profile } => {
-                if profile.min_turns == 0 {
-                    return Err("sessions need at least one turn".to_string());
-                }
-                if profile.max_turns < profile.min_turns {
-                    return Err(format!(
-                        "session max_turns {} must be >= min_turns {}",
-                        profile.max_turns, profile.min_turns
-                    ));
-                }
-                if !(profile.think_mean_s.is_finite() && profile.think_mean_s > 0.0) {
-                    return Err(format!(
-                        "session think time must be positive and finite, got {}",
-                        profile.think_mean_s
-                    ));
-                }
-                if profile.heavy_pct > 100 {
-                    return Err(format!(
-                        "session heavy_pct is a percentage, got {}",
-                        profile.heavy_pct
-                    ));
-                }
-                Ok(())
-            }
-        }
+        // At unit span a fault's time is its fraction, so the plan's own
+        // time rule checks the fractions.
+        self.fault_plan(0.0, 1.0)?.validate(self.fleet.cards())
     }
 
     /// The report's arrivals label — `"{process}/{mix}"` for mix
@@ -939,30 +778,17 @@ impl ScenarioSpec {
         }
     }
 
-    /// Resolves the span-relative fault schedule against a generated
-    /// trace, in list order (order is observable: the kernel breaks
-    /// same-instant fault ties by insertion). A finite fraction can still
-    /// resolve past the largest `f64` on a long trace: that fault is
-    /// named in the `Err`.
-    fn fault_plan(&self, trace: &[Request]) -> Result<FaultPlan, String> {
-        let t0 = trace[0].arrival;
-        let span = trace.last().expect("validated non-empty trace").arrival - t0;
-        let mut plan = FaultPlan::none();
-        for (i, f) in self.faults.iter().enumerate() {
-            let time = t0 + span * f.at_frac;
-            if !time.is_finite() {
-                return Err(format!(
-                    "fault {i} at span fraction {} resolves to a non-finite time",
-                    f.at_frac
-                ));
-            }
-            plan = match f.kind {
-                FaultKindSpec::Kill => plan.kill(time, f.card),
-                FaultKindSpec::Degrade { factor } => plan.degrade(time, f.card, factor),
-                FaultKindSpec::Revive { warmup_s } => plan.revive(time, f.card, warmup_s),
-            };
-        }
-        Ok(plan)
+    /// Resolves the fault schedule to times `t0 + span × at_frac`, in list
+    /// order (the kernel breaks same-instant fault ties by insertion),
+    /// each checked by [`FaultEvent::validate`].
+    fn fault_plan(&self, t0: f64, span: f64) -> Result<FaultPlan, String> {
+        self.faults.iter().try_fold(FaultPlan::none(), |plan, f| {
+            plan.push(FaultEvent {
+                time: t0 + span * f.at_frac,
+                card: f.card,
+                kind: f.kind,
+            })
+        })
     }
 
     /// Runs the scenario and returns its report.
@@ -993,13 +819,9 @@ impl ScenarioSpec {
         let trace = self.trace();
         // A valid rate can still be slow enough for the arrival clock to
         // overflow within the trace.
-        if let Some(i) = trace.iter().position(|r| !r.arrival.is_finite()) {
-            return Err(format!(
-                "arrival {i} of {} resolves to a non-finite time",
-                trace.len()
-            ));
-        }
-        let plan = self.fault_plan(&trace)?;
+        check_trace(&trace)?;
+        let t0 = trace[0].arrival;
+        let plan = self.fault_plan(t0, trace[trace.len() - 1].arrival - t0)?;
         let mut policy = self.policy.build();
         let mut sim = Simulation::new(&fleet)
             .arrivals_label(self.arrivals_label())

@@ -62,9 +62,10 @@ pub struct SessionTraffic {
 impl SessionTraffic {
     /// Generates the full request trace for the first `sessions`
     /// conversations: arrival-sorted, sequentially numbered, each request
-    /// tagged with its 1-based session id.
+    /// tagged with its 1-based session id. Panics with
+    /// [`SessionProfile::validate`]'s diagnostic on an invalid profile.
     pub fn requests(&self, sessions: usize) -> Vec<Request> {
-        self.profile.validate();
+        self.profile.validate().unwrap_or_else(|e| panic!("{e}"));
         let starts = self.arrivals.times(sessions, self.seed);
         let mut master = SplitMix64::new(self.seed ^ SESSION_STREAM);
         let mut turns: Vec<(f64, u64, usize, RequestShape, RequestClass)> = Vec::new();

@@ -115,9 +115,11 @@ impl TrafficSpec {
     /// mix never perturbs the base traffic. A one-shot `decode`
     /// ([`DecodeMix::one_shot`](swat_workloads::DecodeMix::one_shot))
     /// still consumes the same two draws per request but produces inert
-    /// plans, keeping A/B sweeps aligned.
+    /// plans, keeping A/B sweeps aligned. An invalid `decode` panics with
+    /// [`DecodeMix::validate`](swat_workloads::DecodeMix::validate)'s
+    /// diagnostic.
     pub fn decode_requests(&self, n: usize, decode: &swat_workloads::DecodeMix) -> Vec<Request> {
-        decode.validate();
+        decode.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut rng = SplitMix64::new(self.seed ^ 0xDEC0_DE00);
         self.requests(n)
             .into_iter()
@@ -233,16 +235,14 @@ impl PreemptionControl {
     ///
     /// # Panics
     ///
-    /// Panics if the threshold is not positive and finite.
+    /// Panics with [`validate`](PreemptionControl::validate)'s diagnostic.
     pub fn after_wait(threshold_s: f64) -> PreemptionControl {
-        assert!(
-            threshold_s.is_finite() && threshold_s > 0.0,
-            "preemption threshold must be positive and finite"
-        );
-        PreemptionControl {
+        let control = PreemptionControl {
             wait_threshold_s: Some(threshold_s),
             cost_aware_victims: false,
-        }
+        };
+        control.validate().unwrap_or_else(|e| panic!("{e}"));
+        control
     }
 
     /// Like [`PreemptionControl::after_wait`], but victims are selected
@@ -252,11 +252,25 @@ impl PreemptionControl {
     ///
     /// # Panics
     ///
-    /// Panics if the threshold is not positive and finite.
+    /// As [`after_wait`](PreemptionControl::after_wait).
     pub fn cost_aware(threshold_s: f64) -> PreemptionControl {
         PreemptionControl {
             cost_aware_victims: true,
             ..PreemptionControl::after_wait(threshold_s)
+        }
+    }
+
+    /// Checks the threshold, if any, is positive and finite.
+    ///
+    /// # Errors
+    ///
+    /// Returns a diagnostic naming the threshold.
+    pub fn validate(&self) -> Result<(), String> {
+        match self.wait_threshold_s {
+            Some(t) if !(t.is_finite() && t > 0.0) => Err(format!(
+                "preemption threshold must be positive and finite, got {t}"
+            )),
+            _ => Ok(()),
         }
     }
 }
@@ -426,12 +440,16 @@ impl<'a> Simulation<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `requests` is empty, not sorted by arrival time, or
-    /// contains duplicate ids (ids must be unique — the dispatch queue
-    /// and the event heap break ties by id, so duplicates would make the
-    /// schedule ambiguous); or if the fleet configuration is invalid. A
-    /// trace shed in its entirety by admission control is fine: the
-    /// report comes back with zero completions and finite metrics.
+    /// Panics if `requests` is empty, holds a non-finite arrival, is not
+    /// sorted by arrival time, or contains duplicate ids (ids must be
+    /// unique — the dispatch queue and the event heap break ties by id,
+    /// so duplicates would make the schedule ambiguous); with the
+    /// diagnostic of [`PreemptionControl::validate`] (whose public fields
+    /// can hold a threshold its constructors reject),
+    /// [`AutoscalerConfig::validate`] or [`FaultPlan::validate`]; or if
+    /// the fleet configuration is invalid. A trace shed in its entirety
+    /// by admission control is fine: the report comes back with zero
+    /// completions and finite metrics.
     pub fn run(&self, policy: &mut dyn DispatchPolicy, requests: &[Request]) -> ServeReport {
         self.run_traced(policy, requests, &mut NullSink)
     }
@@ -483,7 +501,10 @@ impl<'a> Simulation<'a> {
         sink: &mut dyn TraceSink,
         counters: &mut KernelCounters,
     ) -> ServeReport {
-        check_trace(requests);
+        check_trace(requests)
+            .and_then(|()| self.preemption.validate())
+            .and_then(|()| self.faults.validate(self.fleet.cards()))
+            .unwrap_or_else(|e| panic!("{e}"));
         let mut k = Kernel::new(self, policy, requests, sink, counters);
         while let Some((now, first)) = k.events.pop() {
             // +1 for the entry just popped: the heap's peak population
@@ -533,34 +554,44 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// Panics unless `requests` is a non-empty, arrival-sorted trace with
-/// unique ids (see [`Simulation::run`]).
-fn check_trace(requests: &[Request]) {
-    assert!(!requests.is_empty(), "cannot simulate zero requests");
-    assert!(
-        requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-        "requests must be sorted by arrival"
-    );
+/// Checks that `requests` is a non-empty trace of finite, arrival-sorted
+/// times with unique ids (see [`Simulation::run`]; `ScenarioSpec::run`
+/// checks the trace it generates with it too), naming the first broken rule.
+pub(crate) fn check_trace(requests: &[Request]) -> Result<(), String> {
+    if requests.is_empty() {
+        return Err("cannot simulate zero requests".to_string());
+    }
+    let n = requests.len();
+    let mut last = requests[0].arrival;
+    for (i, r) in requests.iter().enumerate() {
+        if !r.arrival.is_finite() {
+            return Err(format!("arrival {i} of {n} resolves to a non-finite time"));
+        }
+        if r.arrival < last {
+            return Err("requests must be sorted by arrival".to_string());
+        }
+        last = r.arrival;
+    }
     // Id uniqueness: an O(n) bitmap for the common dense-id case (traffic
     // generators number requests densely); arbitrary ids fall back to a
     // sort.
     const DUPLICATE: &str = "request ids must be unique (the kernel's tie-breaking orders by id)";
-    let n = requests.len();
     let mut seen = vec![false; n];
     for r in requests {
         match usize::try_from(r.id).ok().filter(|&i| i < n) {
-            Some(i) => {
-                assert!(!seen[i], "{DUPLICATE}");
-                seen[i] = true;
-            }
+            Some(i) if seen[i] => return Err(DUPLICATE.to_string()),
+            Some(i) => seen[i] = true,
             None => {
                 let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
                 ids.sort_unstable();
-                assert!(ids.windows(2).all(|w| w[0] != w[1]), "{DUPLICATE}");
-                return;
+                if ids.windows(2).any(|w| w[0] == w[1]) {
+                    return Err(DUPLICATE.to_string());
+                }
+                return Ok(());
             }
         }
     }
+    Ok(())
 }
 
 /// One run's mutable state, with one handler per event kind (from
@@ -661,11 +692,10 @@ impl<'k> Kernel<'k> {
         let mut events = EventQueue::new();
         let id = requests[0].id;
         events.push(t0, Event::Arrival { index: 0, id });
-        sim.faults.validate(fleet.cards().len());
         for f in sim.faults.events() {
             let card = f.card;
             let event = match f.kind {
-                FaultKind::Death => Event::CardDeath { card },
+                FaultKind::Kill => Event::CardDeath { card },
                 FaultKind::Degrade { factor } => Event::CardDegrade { card, factor },
                 FaultKind::Revive { warmup_s } => Event::CardRevive { card, warmup_s },
             };
@@ -2627,6 +2657,61 @@ mod tests {
             ..traffic(1)
         };
         let _ = run(idle, 6);
+    }
+
+    /// The panic message a run dies with.
+    fn run_panic(run: impl FnOnce() -> ServeReport) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("the run must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+            .expect("a string panic")
+    }
+
+    #[test]
+    fn non_finite_arrivals_are_named_before_the_order_is_judged() {
+        // An infinite last arrival passes a sorted check (∞ ≤ ∞) and a NaN
+        // fails it; both must be named as what they are, up front.
+        for bad in [f64::INFINITY, f64::NAN] {
+            let mut requests = traffic(1).requests(5);
+            requests[4].arrival = bad;
+            let message =
+                run_panic(|| Simulation::new(&FleetConfig::standard(1)).run(&mut Fifo, &requests));
+            assert!(
+                message.contains("arrival 4 of 5 resolves to a non-finite time"),
+                "{bad}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn preemption_control_built_from_fields_is_checked_before_the_run() {
+        // The knob's fields are public, so a threshold its constructors
+        // reject can still reach the kernel: negative and NaN thresholds
+        // used to die deep in the run, and zero ran, preempting at once.
+        let requests = TrafficSpec {
+            arrivals: ArrivalProcess::bursty(2.5),
+            mix: RequestMix::Production,
+            seed: 0x5EED,
+        }
+        .requests(300);
+        for threshold in [-1.0, f64::NAN, 0.0] {
+            let control = PreemptionControl {
+                wait_threshold_s: Some(threshold),
+                cost_aware_victims: false,
+            };
+            let message = run_panic(|| {
+                Simulation::new(&FleetConfig::standard(2))
+                    .preemption(control)
+                    .run(&mut LeastLoaded::default(), &requests)
+            });
+            assert!(
+                message.contains("preemption threshold must be positive and finite"),
+                "{threshold}: {message}"
+            );
+        }
     }
 
     #[test]

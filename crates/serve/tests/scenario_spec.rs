@@ -5,13 +5,19 @@
 
 use proptest::prelude::*;
 use swat_serve::arrival::ArrivalProcess;
+use swat_serve::fault::FaultPlan;
+use swat_serve::fleet::FleetConfig;
 use swat_serve::json::Json;
-use swat_serve::scale::AutoscalerConfig;
+use swat_serve::policy::LeastLoaded;
+use swat_serve::scale::{Autoscaler, AutoscalerConfig};
 use swat_serve::scenario::{
     CardDesign, CardGroupSpec, FaultKindSpec, FaultSpec, FleetSpec, MemorySpec, PolicySpec,
     PreemptionSpec, ScenarioSpec, TrafficModel,
 };
-use swat_serve::sim::{AdmissionControl, DecodeBatching};
+use swat_serve::session::SessionTraffic;
+use swat_serve::sim::{
+    AdmissionControl, DecodeBatching, PreemptionControl, Simulation, TrafficSpec,
+};
 use swat_workloads::{DecodeMix, RequestMix, SessionProfile};
 
 /// `Option` strategy: the vendored proptest subset has no
@@ -372,4 +378,127 @@ fn overflowing_arrival_time_is_a_diagnostic_not_a_panic() {
     assert!(err.contains("arrival"), "{err}");
     let err = spec.run_profiled().unwrap_err();
     assert!(err.contains("non-finite"), "{err}");
+}
+
+#[test]
+fn builders_panic_with_the_diagnostic_validate_returns() {
+    // Each rule has one home: a builder given a bad value panics with
+    // exactly the text `ScenarioSpec::validate` reports for the same value.
+    let inverted = DecodeMix {
+        min_steps: 3,
+        max_steps: 2,
+        exit_prob: 0.1,
+    };
+    let no_turns = SessionProfile {
+        min_turns: 0,
+        ..SessionProfile::standard()
+    };
+    let no_floor = AutoscalerConfig::standard().with_min_cards(0);
+    let fault = |card, kind| FaultSpec {
+        at_frac: 0.5,
+        card,
+        kind,
+    };
+    let traffic = TrafficSpec {
+        arrivals: ArrivalProcess::poisson(1.0),
+        mix: RequestMix::Production,
+        seed: 0,
+    };
+    type Builder = Box<dyn Fn()>;
+    let cases: [(&str, Builder, ScenarioSpec); 7] = [
+        (
+            "zero poisson rate",
+            Box::new(|| {
+                let _ = ArrivalProcess::poisson(0.0).times(1, 0);
+            }),
+            ScenarioSpec {
+                arrivals: ArrivalProcess::poisson(0.0),
+                ..ScenarioSpec::default()
+            },
+        ),
+        (
+            "inverted decode range",
+            Box::new(move || {
+                let _ = traffic.decode_requests(1, &inverted);
+            }),
+            ScenarioSpec {
+                traffic: TrafficModel::Mix {
+                    mix: RequestMix::Production,
+                    decode: Some(inverted),
+                },
+                ..ScenarioSpec::default()
+            },
+        ),
+        (
+            "zero-turn sessions",
+            Box::new(move || {
+                let sessions = SessionTraffic {
+                    arrivals: ArrivalProcess::poisson(1.0),
+                    profile: no_turns,
+                    seed: 0,
+                };
+                let _ = sessions.requests(1);
+            }),
+            ScenarioSpec {
+                traffic: TrafficModel::Sessions { profile: no_turns },
+                ..ScenarioSpec::default()
+            },
+        ),
+        (
+            "zero autoscaler floor",
+            Box::new(move || {
+                let _ = Autoscaler::new(no_floor);
+            }),
+            ScenarioSpec {
+                autoscale: Some(no_floor),
+                ..ScenarioSpec::default()
+            },
+        ),
+        (
+            "zero preemption threshold",
+            Box::new(|| {
+                let _ = PreemptionControl::after_wait(0.0);
+            }),
+            ScenarioSpec {
+                preemption: PreemptionSpec::AfterWait { threshold_s: 0.0 },
+                ..ScenarioSpec::default()
+            },
+        ),
+        (
+            "speed-up degrade",
+            Box::new(|| {
+                let _ = FaultPlan::none().degrade(0.5, 0, 0.5);
+            }),
+            ScenarioSpec {
+                faults: vec![fault(0, FaultKindSpec::Degrade { factor: 0.5 })],
+                ..ScenarioSpec::default()
+            },
+        ),
+        (
+            "out-of-fleet fault card",
+            Box::new(move || {
+                let fleet = FleetConfig::standard(1);
+                let sim = Simulation::new(&fleet).faults(FaultPlan::none().kill(0.5, 9));
+                let _ = sim.run(&mut LeastLoaded::default(), &traffic.requests(1));
+            }),
+            ScenarioSpec {
+                faults: vec![fault(9, FaultKindSpec::Kill)],
+                ..ScenarioSpec::default()
+            },
+        ),
+    ];
+    for (case, build, spec) in cases {
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)).expect_err(case);
+        let panic = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+            .expect("a string panic");
+        let err = spec.validate().expect_err(case);
+        assert!(
+            err.contains(&panic),
+            "{case}: the builder panicked with {panic:?}, validate() said {err:?}"
+        );
+    }
 }

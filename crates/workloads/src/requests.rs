@@ -247,15 +247,19 @@ impl DecodePlan {
 
     /// Checks the plan is usable.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on zero steps or an exit probability outside `[0, 1)`.
-    pub fn validate(&self) {
-        assert!(self.steps >= 1, "a decode plan needs at least one step");
-        assert!(
-            self.exit_prob.is_finite() && (0.0..1.0).contains(&self.exit_prob),
-            "early-exit probability must be in [0, 1)"
-        );
+    /// Returns a diagnostic on zero steps or an exit probability outside
+    /// `[0, 1)`.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.steps == 0 {
+            return Err("decode plans need at least one step".to_string());
+        }
+        let p = self.exit_prob;
+        if !(0.0..1.0).contains(&p) {
+            return Err(format!("decode exit_prob must be in [0, 1), got {p}"));
+        }
+        Ok(())
     }
 
     /// The plan's `step`-th early-exit draw (0-based), a unit uniform
@@ -316,22 +320,28 @@ impl DecodeMix {
         }
     }
 
-    /// Checks the parameters are usable.
+    /// Checks the parameters are usable: the shortest plan the mix draws
+    /// passes [`DecodePlan::validate`], and the step range is not
+    /// inverted.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a zero/inverted step range or an exit probability
-    /// outside `[0, 1)`.
-    pub fn validate(&self) {
-        assert!(self.min_steps >= 1, "decode plans need at least one step");
-        assert!(
-            self.max_steps >= self.min_steps,
-            "max_steps must be >= min_steps"
-        );
-        assert!(
-            self.exit_prob.is_finite() && (0.0..1.0).contains(&self.exit_prob),
-            "early-exit probability must be in [0, 1)"
-        );
+    /// Returns a diagnostic on a zero/inverted step range or an exit
+    /// probability outside `[0, 1)`.
+    pub fn validate(&self) -> Result<(), String> {
+        DecodePlan {
+            steps: self.min_steps,
+            exit_prob: self.exit_prob,
+            exit_seed: 0,
+        }
+        .validate()?;
+        if self.max_steps < self.min_steps {
+            return Err(format!(
+                "decode max_steps {} must be >= min_steps {}",
+                self.max_steps, self.min_steps
+            ));
+        }
+        Ok(())
     }
 
     /// Draws one plan: steps uniform over the range, a fresh exit seed.
@@ -398,21 +408,33 @@ impl SessionProfile {
 
     /// Checks the parameters are usable.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a zero/inverted turn range, a non-positive think time,
-    /// or a heavy share above 100 %.
-    pub fn validate(&self) {
-        assert!(self.min_turns >= 1, "sessions need at least one turn");
-        assert!(
-            self.max_turns >= self.min_turns,
-            "max_turns must be >= min_turns"
-        );
-        assert!(
-            self.think_mean_s.is_finite() && self.think_mean_s > 0.0,
-            "think time must be positive and finite"
-        );
-        assert!(self.heavy_pct <= 100, "heavy share is a percentage");
+    /// Returns a diagnostic on a zero/inverted turn range, a non-positive
+    /// or non-finite think time, or a heavy share above 100 %.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.min_turns == 0 {
+            return Err("sessions need at least one turn".to_string());
+        }
+        if self.max_turns < self.min_turns {
+            return Err(format!(
+                "session max_turns {} must be >= min_turns {}",
+                self.max_turns, self.min_turns
+            ));
+        }
+        if !(self.think_mean_s.is_finite() && self.think_mean_s > 0.0) {
+            return Err(format!(
+                "session think time must be positive and finite, got {}",
+                self.think_mean_s
+            ));
+        }
+        if self.heavy_pct > 100 {
+            return Err(format!(
+                "session heavy_pct is a percentage, got {}",
+                self.heavy_pct
+            ));
+        }
+        Ok(())
     }
 
     /// Draws how many turns a session runs (uniform over the range).
@@ -534,7 +556,7 @@ mod tests {
     #[test]
     fn session_profiles_draw_admissible_growing_turns() {
         let p = SessionProfile::standard();
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
         let mut rng = SplitMix64::new(31);
         for _ in 0..100 {
             let turns = p.draw_turns(&mut rng);
@@ -565,25 +587,26 @@ mod tests {
             "10% of 2000 within noise, got {heavy}"
         );
         let solo = SessionProfile::interactive_only();
-        solo.validate();
+        assert_eq!(solo.validate(), Ok(()));
         let mut rng = SplitMix64::new(6);
         assert!((0..500).all(|_| !solo.draw_heavy(&mut rng)));
     }
 
     #[test]
-    #[should_panic(expected = "at least one turn")]
     fn zero_turn_sessions_rejected() {
-        SessionProfile {
+        let err = SessionProfile {
             min_turns: 0,
             ..SessionProfile::standard()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("at least one turn"), "{err}");
     }
 
     #[test]
     fn one_shot_decode_plans_are_inert() {
         let plan = DecodePlan::one_shot();
-        plan.validate();
+        assert_eq!(plan.validate(), Ok(()));
         assert!(plan.is_one_shot());
         assert_eq!(plan.expected_steps_from(0), 1.0);
         assert!(!plan.exits_after(0), "disabled early exit never fires");
@@ -604,7 +627,7 @@ mod tests {
             exit_prob: 0.3,
             exit_seed: 1234,
         };
-        plan.validate();
+        assert_eq!(plan.validate(), Ok(()));
         let draws: Vec<f64> = (0..8).map(|s| plan.exit_draw(s)).collect();
         assert_eq!(
             draws,
@@ -651,7 +674,7 @@ mod tests {
             max_steps: 6,
             exit_prob: 0.25,
         };
-        mix.validate();
+        assert_eq!(mix.validate(), Ok(()));
         let mut rng = SplitMix64::new(77);
         let plans: Vec<DecodePlan> = (0..200).map(|_| mix.sample_plan(&mut rng)).collect();
         assert!(plans
@@ -668,30 +691,32 @@ mod tests {
                 .collect::<Vec<_>>(),
             plans
         );
-        DecodeMix::one_shot().validate();
+        assert_eq!(DecodeMix::one_shot().validate(), Ok(()));
         assert!(DecodeMix::one_shot().sample_plan(&mut rng).is_one_shot());
     }
 
     #[test]
-    #[should_panic(expected = "at least one step")]
     fn zero_step_decode_plans_rejected() {
-        DecodePlan {
+        let err = DecodePlan {
             steps: 0,
             exit_prob: 0.0,
             exit_seed: 0,
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("at least one step"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "[0, 1)")]
     fn certain_exit_probability_rejected() {
-        DecodeMix {
+        let err = DecodeMix {
             min_steps: 1,
             max_steps: 2,
             exit_prob: 1.0,
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("[0, 1)"), "{err}");
     }
 
     #[test]
