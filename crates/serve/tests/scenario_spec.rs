@@ -18,7 +18,7 @@ use swat_serve::session::SessionTraffic;
 use swat_serve::sim::{
     AdmissionControl, DecodeBatching, PreemptionControl, Simulation, TrafficSpec,
 };
-use swat_workloads::{DecodeMix, RequestMix, SessionProfile};
+use swat_workloads::{DecodeMix, RequestClass, RequestMix, SessionProfile};
 
 /// `Option` strategy: the vendored proptest subset has no
 /// `prop::option`, so build it from a one-of.
@@ -501,4 +501,185 @@ fn builders_panic_with_the_diagnostic_validate_returns() {
             "{case}: the builder panicked with {panic:?}, validate() said {err:?}"
         );
     }
+}
+
+/// Specs that together use every kind-tagged variant, every named value
+/// and both states of every optional field of the JSON form, with a
+/// `u64::MAX` seed and integral floats (`factor: 2`), which the parser
+/// reads back as integers.
+fn fixture_specs() -> Vec<ScenarioSpec> {
+    let fault = |at_frac, card, kind| FaultSpec {
+        at_frac,
+        card,
+        kind,
+    };
+    let decode = |min_steps, max_steps, exit_prob| {
+        Some(DecodeMix {
+            min_steps,
+            max_steps,
+            exit_prob,
+        })
+    };
+    vec![
+        ScenarioSpec {
+            name: "poisson-fifo".to_string(),
+            fleet: FleetSpec::standard(2),
+            arrivals: ArrivalProcess::poisson(14.0),
+            traffic: TrafficModel::mix(RequestMix::Interactive),
+            policy: PolicySpec::Fifo,
+            requests: 100,
+            ..ScenarioSpec::default()
+        },
+        ScenarioSpec {
+            name: "bursty-least-loaded".to_string(),
+            fleet: FleetSpec::mixed_precision(2, 1),
+            arrivals: ArrivalProcess::bursty(2.5),
+            traffic: TrafficModel::Mix {
+                mix: RequestMix::Document,
+                decode: decode(1, 3, 0.25),
+            },
+            policy: PolicySpec::LeastLoaded,
+            admission: AdmissionControl::admit_all().with_cap(RequestClass::Background, 16),
+            preemption: PreemptionSpec::AfterWait { threshold_s: 0.2 },
+            autoscale: Some(AutoscalerConfig::standard().with_min_cards(2)),
+            faults: vec![
+                fault(0.4, 0, FaultKindSpec::Kill),
+                fault(0.7, 0, FaultKindSpec::Revive { warmup_s: 2.0 }),
+            ],
+            batching: DecodeBatching::WholeJob,
+            seed: u64::MAX,
+            requests: 50,
+        },
+        ScenarioSpec {
+            name: "diurnal-shortest-job-first".to_string(),
+            fleet: FleetSpec::binned(3, 1.2e9),
+            arrivals: ArrivalProcess::diurnal(3.0, 22.0),
+            traffic: TrafficModel::mix(RequestMix::Batch),
+            policy: PolicySpec::ShortestJobFirst,
+            admission: AdmissionControl::admit_all()
+                .with_cap(RequestClass::Interactive, 8)
+                .with_cap(RequestClass::Batch, 32),
+            preemption: PreemptionSpec::CostAware { threshold_s: 0.5 },
+            faults: vec![fault(0.25, 2, FaultKindSpec::Degrade { factor: 2.0 })],
+            seed: 24301,
+            requests: 200,
+            ..ScenarioSpec::default()
+        },
+        ScenarioSpec {
+            name: "flash-crowd-head-affinity".to_string(),
+            fleet: FleetSpec {
+                groups: vec![
+                    CardGroupSpec {
+                        count: 2,
+                        design: CardDesign::Fp32Single,
+                        memory: MemorySpec::Hbm2,
+                    },
+                    CardGroupSpec {
+                        count: 1,
+                        design: CardDesign::Fp16Dual,
+                        memory: MemorySpec::BytesPerSec(4.25e10),
+                    },
+                ],
+            },
+            arrivals: ArrivalProcess::flash_crowd(2.0, 20.0, 30.0, 5.0),
+            traffic: TrafficModel::Sessions {
+                profile: SessionProfile::standard(),
+            },
+            policy: PolicySpec::HeadAffinity,
+            seed: 7,
+            requests: 20,
+            ..ScenarioSpec::default()
+        },
+        ScenarioSpec {
+            name: "sharded-least-loaded".to_string(),
+            fleet: FleetSpec::standard(4),
+            arrivals: ArrivalProcess::poisson(24.0),
+            traffic: TrafficModel::Mix {
+                mix: RequestMix::Production,
+                decode: decode(2, 6, 0.2),
+            },
+            policy: PolicySpec::ShardedLeastLoaded {
+                max_shards: 4,
+                adaptive: true,
+            },
+            autoscale: Some(AutoscalerConfig {
+                min_cards: 1,
+                up_queue_per_card: 8,
+                down_idle_s: 0.5,
+                warmup_s: 1.5,
+            }),
+            requests: 300,
+            ..ScenarioSpec::default()
+        },
+        ScenarioSpec {
+            name: "sharded-shortest-job-first".to_string(),
+            fleet: FleetSpec::standard(3),
+            arrivals: ArrivalProcess::poisson(9.5),
+            policy: PolicySpec::ShardedShortestJobFirst {
+                max_shards: 2,
+                adaptive: false,
+            },
+            admission: AdmissionControl::admit_all()
+                .with_cap(RequestClass::Interactive, 64)
+                .with_cap(RequestClass::Batch, 32)
+                .with_cap(RequestClass::Background, 4),
+            seed: 1,
+            requests: 40,
+            ..ScenarioSpec::default()
+        },
+        ScenarioSpec {
+            name: "session-affinity".to_string(),
+            fleet: FleetSpec::standard(4),
+            arrivals: ArrivalProcess::poisson(2.0),
+            traffic: TrafficModel::Sessions {
+                profile: SessionProfile {
+                    min_turns: 1,
+                    max_turns: 4,
+                    think_mean_s: 0.75,
+                    heavy_pct: 0,
+                },
+            },
+            policy: PolicySpec::SessionAffinity {
+                capacity_per_card: 64,
+            },
+            preemption: PreemptionSpec::AfterWait { threshold_s: 0.05 },
+            requests: 30,
+            ..ScenarioSpec::default()
+        },
+    ]
+}
+
+/// `to_json().pretty()` of [`fixture_specs`] as an array, written by the
+/// spec codec before it was declared per field. It changes only with a
+/// deliberate change of the format.
+const FIXTURE: &str = include_str!("fixtures/scenario_specs.json");
+
+#[test]
+fn json_form_matches_the_committed_fixture() {
+    // The round-trip proptest cannot see a renamed or reordered key, so
+    // the writer is held to committed bytes.
+    let specs = fixture_specs();
+    let text = Json::arr(specs.iter().map(ScenarioSpec::to_json)).pretty();
+    assert_eq!(text, FIXTURE, "the spec writer's output moved");
+    let Json::Arr(items) = Json::parse(FIXTURE).expect("the fixture parses") else {
+        panic!("the fixture is an array of specs");
+    };
+    let back: Vec<ScenarioSpec> = items
+        .iter()
+        .map(|item| ScenarioSpec::from_json(item).expect("a fixture spec loads"))
+        .collect();
+    assert_eq!(back, specs);
+
+    // The capacity planner's template, as committed in BENCH_plan.json.
+    let Json::Obj(plan) =
+        Json::parse(include_str!("../../../BENCH_plan.json")).expect("BENCH_plan.json parses")
+    else {
+        panic!("BENCH_plan.json is an object");
+    };
+    let (_, template) = plan
+        .iter()
+        .find(|(key, _)| key == "template")
+        .expect("BENCH_plan.json has a template");
+    let spec = ScenarioSpec::from_json(template).expect("the template loads");
+    assert_eq!(spec.to_json().pretty(), template.pretty());
 }
