@@ -77,7 +77,8 @@ use swat_serve::json::Json;
 use swat_serve::metrics::ServeReport;
 use swat_serve::scale::AutoscalerConfig;
 use swat_serve::scenario::{
-    FaultKindSpec, FaultSpec, FleetSpec, PolicySpec, PreemptionSpec, ScenarioSpec, TrafficModel,
+    Codec, FaultKindSpec, FaultSpec, FleetSpec, PolicySpec, PreemptionSpec, ScenarioSpec,
+    TrafficModel,
 };
 use swat_serve::sim::{AdmissionControl, DecodeBatching};
 use swat_workloads::{DecodeMix, RequestClass, RequestMix, SessionProfile};
@@ -311,18 +312,7 @@ fn sweep_scenarios(seed: u64, requests: usize) -> Vec<ScenarioDef> {
     defs.push(ScenarioDef {
         name: "autoscale",
         fleet: homogeneous.clone(),
-        extras: vec![(
-            "autoscaler",
-            Json::obj([
-                ("min_cards", Json::Int(scaler_cfg.min_cards as i64)),
-                (
-                    "up_queue_per_card",
-                    Json::Int(scaler_cfg.up_queue_per_card as i64),
-                ),
-                ("down_idle_s", Json::Num(scaler_cfg.down_idle_s)),
-                ("warmup_s", Json::Num(scaler_cfg.warmup_s)),
-            ]),
-        )],
+        extras: vec![("autoscaler", scaler_cfg.encode())],
         table: ExtraTable::Autoscale,
         cells: [("static", None), ("autoscale-min2", Some(scaler_cfg))]
             .into_iter()
@@ -448,15 +438,7 @@ fn sweep_scenarios(seed: u64, requests: usize) -> Vec<ScenarioDef> {
         name: "sessions",
         fleet: session_fleet.clone(),
         extras: vec![
-            (
-                "profile",
-                Json::obj([
-                    ("min_turns", Json::Int(session_profile.min_turns as i64)),
-                    ("max_turns", Json::Int(session_profile.max_turns as i64)),
-                    ("think_mean_s", Json::Num(session_profile.think_mean_s)),
-                    ("heavy_pct", Json::Int(session_profile.heavy_pct as i64)),
-                ]),
-            ),
+            ("profile", session_profile.encode()),
             ("sessions_per_run", Json::Int(sessions_per_cell as i64)),
             ("affinity_capacity_per_card", Json::Int(affinity_cap as i64)),
         ],
@@ -550,28 +532,24 @@ fn sweep_scenarios(seed: u64, requests: usize) -> Vec<ScenarioDef> {
     // batching lets short fresh requests overtake a long decode between
     // its steps, whole-job queueing holds the card run-to-completion.
     let decode_arrivals = ArrivalProcess::poisson(24.0);
-    let decode_steps = (2u32, 6u32);
-    let decode_exit_prob = 0.2f64;
+    let decode_mix = DecodeMix {
+        min_steps: 2,
+        max_steps: 6,
+        exit_prob: 0.2,
+    };
     let decode_max = 4usize;
     defs.push(ScenarioDef {
         name: "decode",
         fleet: binned_fleet.clone(),
         extras: vec![
             ("max_shards", Json::Int(decode_max as i64)),
-            (
-                "decode_mix",
-                Json::obj([
-                    ("min_steps", Json::Int(decode_steps.0 as i64)),
-                    ("max_steps", Json::Int(decode_steps.1 as i64)),
-                    ("exit_prob", Json::Num(decode_exit_prob)),
-                ]),
-            ),
+            ("decode_mix", decode_mix.encode()),
         ],
         table: ExtraTable::Decode,
         cells: [
-            ("continuous/adaptive-4", false, false, decode_exit_prob),
-            ("whole-job/adaptive-4", true, false, decode_exit_prob),
-            ("continuous/fixed-4", false, true, decode_exit_prob),
+            ("continuous/adaptive-4", false, false, decode_mix.exit_prob),
+            ("whole-job/adaptive-4", true, false, decode_mix.exit_prob),
+            ("continuous/fixed-4", false, true, decode_mix.exit_prob),
             ("continuous/no-exit", false, false, 0.0),
         ]
         .into_iter()
@@ -584,9 +562,8 @@ fn sweep_scenarios(seed: u64, requests: usize) -> Vec<ScenarioDef> {
                 traffic: TrafficModel::Mix {
                     mix: RequestMix::Interactive,
                     decode: Some(DecodeMix {
-                        min_steps: decode_steps.0,
-                        max_steps: decode_steps.1,
                         exit_prob,
+                        ..decode_mix
                     }),
                 },
                 batching: if whole_job {

@@ -27,13 +27,25 @@ impl MemoryInterface {
     ///
     /// # Panics
     ///
-    /// Panics if the bandwidth is not strictly positive and finite.
+    /// Panics with [`check_bandwidth`](MemoryInterface::check_bandwidth)'s
+    /// diagnostic if the bandwidth is not strictly positive and finite.
     pub fn new(bytes_per_sec: f64) -> MemoryInterface {
-        assert!(
-            bytes_per_sec.is_finite() && bytes_per_sec > 0.0,
-            "bandwidth must be positive"
-        );
+        MemoryInterface::check_bandwidth(bytes_per_sec).unwrap_or_else(|e| panic!("{e}"));
         MemoryInterface { bytes_per_sec }
+    }
+
+    /// Checks a sustained bandwidth: strictly positive and finite.
+    ///
+    /// # Errors
+    ///
+    /// Returns a diagnostic naming the rejected value.
+    pub fn check_bandwidth(bytes_per_sec: f64) -> Result<(), String> {
+        if !(bytes_per_sec.is_finite() && bytes_per_sec > 0.0) {
+            return Err(format!(
+                "memory bandwidth must be positive and finite, got {bytes_per_sec}"
+            ));
+        }
+        Ok(())
     }
 
     /// HBM2 on the U55C/VCU128: 460 GB/s aggregate.

@@ -324,6 +324,10 @@ impl ArrivalGen {
             } => loop {
                 // Thinning against the constant peak rate.
                 self.t += exp_sample(&mut self.rng, peak_rate);
+                // Past the largest time `cos` is NaN and rejects everything.
+                if !self.t.is_finite() {
+                    return self.t;
+                }
                 let phase = core::f64::consts::TAU * self.t / period_s;
                 let rate = base_rate + (peak_rate - base_rate) * 0.5 * (1.0 - phase.cos());
                 let u = (self.rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);

@@ -145,6 +145,18 @@ fn soonest_idle(cards: &[CardView], shape: &RequestShape) -> Option<usize> {
         .map(|c| c.card)
 }
 
+/// Checks a fan-out cap; the sharded constructors panic with its `Err`.
+///
+/// # Errors
+///
+/// Returns a diagnostic if `max_shards` is zero.
+pub fn check_shards(max_shards: usize) -> Result<(), String> {
+    if max_shards == 0 {
+        return Err("policy max_shards must be at least 1".to_string());
+    }
+    Ok(())
+}
+
 /// Up to `max_shards` idle pipelines for `shape`, soonest-finishing
 /// first by the same backlog-plus-estimate rank whole-request dispatch
 /// uses — the fixed-width shard plan. All entries stay within one card
@@ -327,7 +339,7 @@ impl LeastLoaded {
     ///
     /// Panics if `max_shards` is zero.
     pub fn new(max_shards: usize) -> LeastLoaded {
-        assert!(max_shards > 0, "a dispatch needs at least one shard");
+        check_shards(max_shards).unwrap_or_else(|e| panic!("{e}"));
         LeastLoaded {
             max_shards,
             adaptive: true,
@@ -432,7 +444,7 @@ impl ShortestJobFirst {
     ///
     /// Panics if `max_shards` is zero.
     pub fn new(max_shards: usize) -> ShortestJobFirst {
-        assert!(max_shards > 0, "a dispatch needs at least one shard");
+        check_shards(max_shards).unwrap_or_else(|e| panic!("{e}"));
         ShortestJobFirst {
             max_shards,
             adaptive: true,
@@ -583,15 +595,25 @@ impl SessionAffinity {
     ///
     /// Panics if `capacity_per_card` is zero.
     pub fn new(capacity_per_card: usize) -> SessionAffinity {
-        assert!(
-            capacity_per_card > 0,
-            "cards must hold at least one session"
-        );
+        SessionAffinity::check_capacity(capacity_per_card).unwrap_or_else(|e| panic!("{e}"));
         SessionAffinity {
             capacity_per_card,
             bindings: Vec::new(),
             seq: 0,
         }
+    }
+
+    /// Checks a per-card session capacity; [`new`](SessionAffinity::new)
+    /// panics with its `Err`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a diagnostic if `capacity_per_card` is zero.
+    pub fn check_capacity(capacity_per_card: usize) -> Result<(), String> {
+        if capacity_per_card == 0 {
+            return Err("policy capacity_per_card must be at least 1".to_string());
+        }
+        Ok(())
     }
 
     /// The card `session` is currently bound to, if any.

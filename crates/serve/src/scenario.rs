@@ -14,12 +14,20 @@
 //! the `capacity_plan` autotuner searches over a spec template's free
 //! axes (fleet size, shard width, autoscaling, batching mode).
 //!
+//! Each type's JSON form is declared once, through the [`Codec`] trait:
+//! a field list per struct, a `kind`-to-fields list per tagged enum (a
+//! `..field` puts a nested value's keys beside its own, as sessions and
+//! faults do), a `name()` per plain enum, and two hand-written forms
+//! (memory is `"hbm2"` or a bandwidth; admission caps are keyed by class).
+//! A missing, mistyped or out-of-range field reads back as a diagnostic
+//! naming its full path, such as `spec.faults[1].factor`.
+//!
 //! Construction is fallible where the underlying builders panic:
-//! [`ScenarioSpec::validate`] calls each layer's own `validate()` — the
-//! one home of every rule, whose diagnostic the builder panics with —
-//! and adds the rules only a spec can break (an empty fleet or trace),
-//! so a hand-edited JSON spec comes back as an `Err(String)` naming the
-//! bad field instead of crashing operator tooling.
+//! [`ScenarioSpec::validate`] calls each layer's own check — the one home
+//! of every rule, whose diagnostic the builder panics with — and adds the
+//! rules only a spec can break (an empty fleet or trace), so a
+//! hand-edited JSON spec comes back as an `Err(String)` naming the bad
+//! field instead of crashing operator tooling.
 //!
 //! # Examples
 //!
@@ -52,7 +60,8 @@ use crate::fleet::{CardGroup, FleetConfig};
 use crate::json::Json;
 use crate::metrics::ServeReport;
 use crate::policy::{
-    DispatchPolicy, Fifo, HeadAffinity, LeastLoaded, SessionAffinity, ShortestJobFirst,
+    check_shards, DispatchPolicy, Fifo, HeadAffinity, LeastLoaded, SessionAffinity,
+    ShortestJobFirst,
 };
 use crate::request::Request;
 use crate::scale::AutoscalerConfig;
@@ -78,6 +87,9 @@ pub enum CardDesign {
 }
 
 impl CardDesign {
+    /// Every design, in declaration order.
+    pub const ALL: [CardDesign; 2] = [CardDesign::Fp16Dual, CardDesign::Fp32Single];
+
     /// The DSL name (`"fp16-dual"` / `"fp32-single"`).
     pub fn name(&self) -> &'static str {
         match self {
@@ -95,14 +107,6 @@ impl CardDesign {
                 pipelines: 1,
                 ..SwatConfig::bigbird_dual_fp16()
             },
-        }
-    }
-
-    fn from_name(name: &str) -> Result<CardDesign, String> {
-        match name {
-            "fp16-dual" => Ok(CardDesign::Fp16Dual),
-            "fp32-single" => Ok(CardDesign::Fp32Single),
-            other => Err(format!("unknown card design {other:?}")),
         }
     }
 }
@@ -124,21 +128,6 @@ impl MemorySpec {
         match *self {
             MemorySpec::Hbm2 => MemoryInterface::hbm2(),
             MemorySpec::BytesPerSec(bps) => MemoryInterface::new(bps),
-        }
-    }
-
-    fn to_json(self) -> Json {
-        match self {
-            MemorySpec::Hbm2 => Json::Str("hbm2".into()),
-            MemorySpec::BytesPerSec(bps) => Json::Num(bps),
-        }
-    }
-
-    fn from_json(json: &Json) -> Result<MemorySpec, String> {
-        match json {
-            Json::Str(s) if s == "hbm2" => Ok(MemorySpec::Hbm2),
-            Json::Str(s) => Err(format!("unknown memory spec {s:?}")),
-            other => as_f64(other, "memory").map(MemorySpec::BytesPerSec),
         }
     }
 }
@@ -225,38 +214,6 @@ impl FleetSpec {
             host_link: MemoryInterface::pcie4_x16(),
         }
     }
-
-    fn to_json(&self) -> Json {
-        Json::obj([(
-            "groups",
-            Json::arr(self.groups.iter().map(|g| {
-                Json::obj([
-                    ("count", Json::Int(g.count as i64)),
-                    ("design", Json::Str(g.design.name().into())),
-                    ("memory", g.memory.to_json()),
-                ])
-            })),
-        )])
-    }
-
-    fn from_json(json: &Json) -> Result<FleetSpec, String> {
-        let obj = as_obj(json, "fleet")?;
-        let groups = as_arr(get(obj, "fleet.groups", "groups")?, "fleet.groups")?
-            .iter()
-            .map(|g| {
-                let g = as_obj(g, "fleet group")?;
-                Ok(CardGroupSpec {
-                    count: as_usize(get(g, "group.count", "count")?, "group.count")?,
-                    design: CardDesign::from_name(as_str(
-                        get(g, "group.design", "design")?,
-                        "group.design",
-                    )?)?,
-                    memory: MemorySpec::from_json(get(g, "group.memory", "memory")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(FleetSpec { groups })
-    }
 }
 
 /// What the requests are: a seeded shape mix (optionally with token-level
@@ -284,79 +241,6 @@ impl TrafficModel {
     /// A plain one-shot mix with no decode plans.
     pub fn mix(mix: RequestMix) -> TrafficModel {
         TrafficModel::Mix { mix, decode: None }
-    }
-
-    fn to_json(self) -> Json {
-        match self {
-            TrafficModel::Mix { mix, decode } => Json::obj([
-                ("kind", Json::Str("mix".into())),
-                ("mix", Json::Str(mix.name().into())),
-                (
-                    "decode",
-                    Json::maybe(decode, |d| {
-                        Json::obj([
-                            ("min_steps", Json::Int(d.min_steps as i64)),
-                            ("max_steps", Json::Int(d.max_steps as i64)),
-                            ("exit_prob", Json::Num(d.exit_prob)),
-                        ])
-                    }),
-                ),
-            ]),
-            TrafficModel::Sessions { profile } => Json::obj([
-                ("kind", Json::Str("sessions".into())),
-                ("min_turns", Json::Int(profile.min_turns as i64)),
-                ("max_turns", Json::Int(profile.max_turns as i64)),
-                ("think_mean_s", Json::Num(profile.think_mean_s)),
-                ("heavy_pct", Json::Int(profile.heavy_pct as i64)),
-            ]),
-        }
-    }
-
-    fn from_json(json: &Json) -> Result<TrafficModel, String> {
-        let obj = as_obj(json, "traffic")?;
-        match as_str(get(obj, "traffic.kind", "kind")?, "traffic.kind")? {
-            "mix" => {
-                let name = as_str(get(obj, "traffic.mix", "mix")?, "traffic.mix")?;
-                let mix = RequestMix::ALL
-                    .into_iter()
-                    .find(|m| m.name() == name)
-                    .ok_or_else(|| format!("unknown request mix {name:?}"))?;
-                let decode = match get(obj, "traffic.decode", "decode")? {
-                    Json::Null => None,
-                    d => {
-                        let d = as_obj(d, "traffic.decode")?;
-                        Some(DecodeMix {
-                            min_steps: as_u64(
-                                get(d, "decode.min_steps", "min_steps")?,
-                                "min_steps",
-                            )? as u32,
-                            max_steps: as_u64(
-                                get(d, "decode.max_steps", "max_steps")?,
-                                "max_steps",
-                            )? as u32,
-                            exit_prob: as_f64(
-                                get(d, "decode.exit_prob", "exit_prob")?,
-                                "exit_prob",
-                            )?,
-                        })
-                    }
-                };
-                Ok(TrafficModel::Mix { mix, decode })
-            }
-            "sessions" => Ok(TrafficModel::Sessions {
-                profile: SessionProfile {
-                    min_turns: as_usize(get(obj, "traffic.min_turns", "min_turns")?, "min_turns")?,
-                    max_turns: as_usize(get(obj, "traffic.max_turns", "max_turns")?, "max_turns")?,
-                    think_mean_s: as_f64(
-                        get(obj, "traffic.think_mean_s", "think_mean_s")?,
-                        "think_mean_s",
-                    )?,
-                    heavy_pct: as_u64(get(obj, "traffic.heavy_pct", "heavy_pct")?, "heavy_pct")?
-                        as u8,
-                },
-            }),
-            other => Err(format!("unknown traffic kind {other:?}")),
-        }
     }
 }
 
@@ -421,79 +305,6 @@ impl PolicySpec {
             }
         }
     }
-
-    /// The spec's `kind` string (also the policy family name in JSON).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            PolicySpec::Fifo => "fifo",
-            PolicySpec::LeastLoaded => "least-loaded",
-            PolicySpec::ShortestJobFirst => "shortest-job-first",
-            PolicySpec::HeadAffinity => "head-affinity",
-            PolicySpec::ShardedLeastLoaded { .. } => "sharded-least-loaded",
-            PolicySpec::ShardedShortestJobFirst { .. } => "sharded-shortest-job-first",
-            PolicySpec::SessionAffinity { .. } => "session-affinity",
-        }
-    }
-
-    fn to_json(self) -> Json {
-        let mut pairs = vec![("kind", Json::Str(self.kind().into()))];
-        match self {
-            PolicySpec::ShardedLeastLoaded {
-                max_shards,
-                adaptive,
-            }
-            | PolicySpec::ShardedShortestJobFirst {
-                max_shards,
-                adaptive,
-            } => {
-                pairs.push(("max_shards", Json::Int(max_shards as i64)));
-                pairs.push(("adaptive", Json::Bool(adaptive)));
-            }
-            PolicySpec::SessionAffinity { capacity_per_card } => {
-                pairs.push(("capacity_per_card", Json::Int(capacity_per_card as i64)));
-            }
-            _ => {}
-        }
-        Json::obj(pairs)
-    }
-
-    fn from_json(json: &Json) -> Result<PolicySpec, String> {
-        let obj = as_obj(json, "policy")?;
-        let kind = as_str(get(obj, "policy.kind", "kind")?, "policy.kind")?;
-        let sharded = |obj: &[(String, Json)]| -> Result<(usize, bool), String> {
-            Ok((
-                as_usize(get(obj, "policy.max_shards", "max_shards")?, "max_shards")?,
-                as_bool(get(obj, "policy.adaptive", "adaptive")?, "adaptive")?,
-            ))
-        };
-        match kind {
-            "fifo" => Ok(PolicySpec::Fifo),
-            "least-loaded" => Ok(PolicySpec::LeastLoaded),
-            "shortest-job-first" => Ok(PolicySpec::ShortestJobFirst),
-            "head-affinity" => Ok(PolicySpec::HeadAffinity),
-            "sharded-least-loaded" => {
-                let (max_shards, adaptive) = sharded(obj)?;
-                Ok(PolicySpec::ShardedLeastLoaded {
-                    max_shards,
-                    adaptive,
-                })
-            }
-            "sharded-shortest-job-first" => {
-                let (max_shards, adaptive) = sharded(obj)?;
-                Ok(PolicySpec::ShardedShortestJobFirst {
-                    max_shards,
-                    adaptive,
-                })
-            }
-            "session-affinity" => Ok(PolicySpec::SessionAffinity {
-                capacity_per_card: as_usize(
-                    get(obj, "policy.capacity_per_card", "capacity_per_card")?,
-                    "capacity_per_card",
-                )?,
-            }),
-            other => Err(format!("unknown policy kind {other:?}")),
-        }
-    }
 }
 
 /// Preemption control, as data.
@@ -523,40 +334,6 @@ impl PreemptionSpec {
             PreemptionSpec::CostAware { threshold_s } => PreemptionControl::cost_aware(threshold_s),
         }
     }
-
-    fn to_json(self) -> Json {
-        match self {
-            PreemptionSpec::Disabled => Json::obj([("kind", Json::Str("disabled".into()))]),
-            PreemptionSpec::AfterWait { threshold_s } => Json::obj([
-                ("kind", Json::Str("after-wait".into())),
-                ("threshold_s", Json::Num(threshold_s)),
-            ]),
-            PreemptionSpec::CostAware { threshold_s } => Json::obj([
-                ("kind", Json::Str("cost-aware".into())),
-                ("threshold_s", Json::Num(threshold_s)),
-            ]),
-        }
-    }
-
-    fn from_json(json: &Json) -> Result<PreemptionSpec, String> {
-        let obj = as_obj(json, "preemption")?;
-        let threshold = |obj: &[(String, Json)]| {
-            as_f64(
-                get(obj, "preemption.threshold_s", "threshold_s")?,
-                "threshold_s",
-            )
-        };
-        match as_str(get(obj, "preemption.kind", "kind")?, "preemption.kind")? {
-            "disabled" => Ok(PreemptionSpec::Disabled),
-            "after-wait" => Ok(PreemptionSpec::AfterWait {
-                threshold_s: threshold(obj)?,
-            }),
-            "cost-aware" => Ok(PreemptionSpec::CostAware {
-                threshold_s: threshold(obj)?,
-            }),
-            other => Err(format!("unknown preemption kind {other:?}")),
-        }
-    }
 }
 
 /// One scheduled fault, with its time expressed as a **fraction of the
@@ -577,46 +354,6 @@ pub struct FaultSpec {
 /// `Kill`, `Degrade { factor }` and `Revive { warmup_s }` are the JSON
 /// `kind`s `kill`, `degrade` and `revive`.
 pub use crate::fault::FaultKind as FaultKindSpec;
-
-impl FaultSpec {
-    fn to_json(self) -> Json {
-        let mut pairs = vec![
-            ("at_frac", Json::Num(self.at_frac)),
-            ("card", Json::Int(self.card as i64)),
-        ];
-        match self.kind {
-            FaultKind::Kill => pairs.push(("kind", Json::Str("kill".into()))),
-            FaultKind::Degrade { factor } => {
-                pairs.push(("kind", Json::Str("degrade".into())));
-                pairs.push(("factor", Json::Num(factor)));
-            }
-            FaultKind::Revive { warmup_s } => {
-                pairs.push(("kind", Json::Str("revive".into())));
-                pairs.push(("warmup_s", Json::Num(warmup_s)));
-            }
-        }
-        Json::obj(pairs)
-    }
-
-    fn from_json(json: &Json) -> Result<FaultSpec, String> {
-        let obj = as_obj(json, "fault")?;
-        let kind = match as_str(get(obj, "fault.kind", "kind")?, "fault.kind")? {
-            "kill" => FaultKind::Kill,
-            "degrade" => FaultKind::Degrade {
-                factor: as_f64(get(obj, "fault.factor", "factor")?, "factor")?,
-            },
-            "revive" => FaultKind::Revive {
-                warmup_s: as_f64(get(obj, "fault.warmup_s", "warmup_s")?, "warmup_s")?,
-            },
-            other => return Err(format!("unknown fault kind {other:?}")),
-        };
-        Ok(FaultSpec {
-            at_frac: as_f64(get(obj, "fault.at_frac", "at_frac")?, "at_frac")?,
-            card: as_usize(get(obj, "fault.card", "card")?, "card")?,
-            kind,
-        })
-    }
-}
 
 /// A complete, declarative description of one serving-simulation cell.
 ///
@@ -676,10 +413,9 @@ impl Default for ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Checks every field by calling the `validate()` of the type that
-    /// owns it (whose diagnostic that type's builders panic with), plus
-    /// the rules only a spec can break: an empty fleet or trace, a
-    /// non-positive bandwidth, a zero shard cap or affinity capacity.
+    /// Checks every field by calling the check of the type that owns it
+    /// (whose diagnostic that type's builders panic with), plus the rules
+    /// only a spec can break: an empty fleet or trace.
     ///
     /// # Errors
     ///
@@ -693,11 +429,8 @@ impl ScenarioSpec {
                 return Err(format!("fleet group {i} has zero cards"));
             }
             if let MemorySpec::BytesPerSec(bps) = g.memory {
-                if !(bps.is_finite() && bps > 0.0) {
-                    return Err(format!(
-                        "fleet group {i} memory bandwidth must be positive and finite, got {bps}"
-                    ));
-                }
+                MemoryInterface::check_bandwidth(bps)
+                    .map_err(|e| format!("fleet group {i} {e}"))?;
             }
         }
         if self.requests == 0 {
@@ -713,15 +446,9 @@ impl ScenarioSpec {
         }
         match self.policy {
             PolicySpec::ShardedLeastLoaded { max_shards, .. }
-            | PolicySpec::ShardedShortestJobFirst { max_shards, .. }
-                if max_shards == 0 =>
-            {
-                return Err("sharded policies need max_shards >= 1".to_string());
-            }
-            PolicySpec::SessionAffinity {
-                capacity_per_card: 0,
-            } => {
-                return Err("session affinity needs capacity_per_card >= 1".to_string());
+            | PolicySpec::ShardedShortestJobFirst { max_shards, .. } => check_shards(max_shards)?,
+            PolicySpec::SessionAffinity { capacity_per_card } => {
+                SessionAffinity::check_capacity(capacity_per_card)?
             }
             _ => {}
         }
@@ -839,244 +566,321 @@ impl ScenarioSpec {
     /// [`from_json`](ScenarioSpec::from_json) inverts it exactly, and
     /// the text form round-trips through [`Json::parse`].
     pub fn to_json(&self) -> Json {
-        let caps = &self.admission.queue_caps;
-        Json::obj([
-            ("name", Json::Str(self.name.clone())),
-            ("fleet", self.fleet.to_json()),
-            ("arrivals", arrivals_to_json(&self.arrivals)),
-            ("traffic", self.traffic.to_json()),
-            ("policy", self.policy.to_json()),
-            (
-                "admission",
-                Json::Obj(
-                    RequestClass::ALL
-                        .iter()
-                        .zip(caps.iter())
-                        .map(|(class, cap)| {
-                            (
-                                class.name().to_string(),
-                                Json::maybe(*cap, |c| Json::Int(c as i64)),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            ("preemption", self.preemption.to_json()),
-            (
-                "autoscale",
-                Json::maybe(self.autoscale, |cfg| {
-                    Json::obj([
-                        ("min_cards", Json::Int(cfg.min_cards as i64)),
-                        ("up_queue_per_card", Json::Int(cfg.up_queue_per_card as i64)),
-                        ("down_idle_s", Json::Num(cfg.down_idle_s)),
-                        ("warmup_s", Json::Num(cfg.warmup_s)),
-                    ])
-                }),
-            ),
-            ("faults", Json::arr(self.faults.iter().map(|f| f.to_json()))),
-            ("batching", Json::Str(self.batching.name().into())),
-            ("seed", Json::UInt(self.seed)),
-            ("requests", Json::Int(self.requests as i64)),
-        ])
+        self.encode()
     }
 
     /// Parses a spec from its JSON representation.
     ///
     /// # Errors
     ///
-    /// Returns a diagnostic naming the missing or mistyped field. The
-    /// parsed spec is *structurally* sound but not yet validated — call
-    /// [`validate`](ScenarioSpec::validate) (or just
-    /// [`run`](ScenarioSpec::run), which validates) before trusting the
-    /// numbers in it.
+    /// Returns a diagnostic naming the path of the missing, mistyped or
+    /// out-of-range field. The parsed spec is *structurally* sound but
+    /// not yet validated — call [`validate`](ScenarioSpec::validate) (or
+    /// just [`run`](ScenarioSpec::run), which validates) first.
     pub fn from_json(json: &Json) -> Result<ScenarioSpec, String> {
-        let obj = as_obj(json, "scenario spec")?;
-        let admission_obj = as_obj(get(obj, "spec.admission", "admission")?, "admission")?;
-        let mut admission = AdmissionControl::admit_all();
-        for (i, class) in RequestClass::ALL.iter().enumerate() {
-            match get(admission_obj, "admission class", class.name())? {
-                Json::Null => {}
-                cap => {
-                    admission.queue_caps[i] =
-                        Some(as_usize(cap, &format!("admission.{}", class.name()))?);
+        ScenarioSpec::decode(json, "spec")
+    }
+}
+
+/// A type's JSON form, declared once: [`encode`](Codec::encode) writes
+/// it and [`decode`](Codec::decode) reads it back exactly. Implemented for
+/// the JSON primitives and every spec type.
+pub trait Codec: Sized {
+    /// The JSON value of `self`.
+    fn encode(&self) -> Json;
+
+    /// Reads a value back from `json`, found at the path `at` (such as
+    /// `spec.faults[1]`).
+    ///
+    /// # Errors
+    ///
+    /// Names the full path of a missing, mistyped or out-of-range field.
+    fn decode(json: &Json, at: &str) -> Result<Self, String>;
+}
+
+fn expected(at: &str, what: &str, got: &Json) -> String {
+    format!("{at}: expected {what}, got {got:?}")
+}
+
+/// Decodes the value under `key` of the object `json`, found at `at`.
+fn field<T: Codec>(json: &Json, at: &str, key: &str) -> Result<T, String> {
+    let Json::Obj(pairs) = json else {
+        return Err(expected(at, "an object", json));
+    };
+    let at = format!("{at}.{key}");
+    match pairs.iter().find(|(k, _)| k == key) {
+        Some((_, value)) => T::decode(value, &at),
+        None => Err(format!("{at}: missing field")),
+    }
+}
+
+/// The object `own` followed by the keys of the object `nested`: the form
+/// of a `..field` in a `record!` or `tagged!` declaration.
+fn beside(own: Json, nested: Json) -> Json {
+    match (own, nested) {
+        (Json::Obj(mut pairs), Json::Obj(more)) => {
+            pairs.extend(more);
+            Json::Obj(pairs)
+        }
+        _ => unreachable!("records and tagged enums encode as objects"),
+    }
+}
+
+impl Codec for f64 {
+    fn encode(&self) -> Json {
+        Json::Num(*self)
+    }
+
+    fn decode(json: &Json, at: &str) -> Result<f64, String> {
+        match *json {
+            Json::Num(x) => Ok(x),
+            // Integral floats print without a fraction and parse as integers.
+            Json::Int(i) => Ok(i as f64),
+            Json::UInt(u) => Ok(u as f64),
+            _ => Err(expected(at, "a number", json)),
+        }
+    }
+}
+
+impl Codec for u64 {
+    fn encode(&self) -> Json {
+        Json::UInt(*self)
+    }
+
+    fn decode(json: &Json, at: &str) -> Result<u64, String> {
+        match *json {
+            Json::UInt(u) => Ok(u),
+            Json::Int(i) if i >= 0 => Ok(i.unsigned_abs()),
+            _ => Err(expected(at, "a non-negative integer", json)),
+        }
+    }
+}
+
+/// Unsigned integers narrower than `u64`: written as [`Json::Int`], and
+/// range-checked when read instead of truncated.
+macro_rules! narrow_uint {
+    ($($t:ty),+) => {$(
+        impl Codec for $t {
+            fn encode(&self) -> Json {
+                i64::try_from(*self).map_or(Json::UInt(*self as u64), Json::Int)
+            }
+
+            fn decode(json: &Json, at: &str) -> Result<$t, String> {
+                let n = u64::decode(json, at)?;
+                <$t>::try_from(n).map_err(|_| format!("{at}: {n} exceeds {}::MAX", stringify!($t)))
+            }
+        }
+    )+};
+}
+
+narrow_uint!(usize, u32, u8);
+
+impl Codec for bool {
+    fn encode(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn decode(json: &Json, at: &str) -> Result<bool, String> {
+        match *json {
+            Json::Bool(b) => Ok(b),
+            _ => Err(expected(at, "a boolean", json)),
+        }
+    }
+}
+
+impl Codec for String {
+    fn encode(&self) -> Json {
+        Json::Str(self.clone())
+    }
+
+    fn decode(json: &Json, at: &str) -> Result<String, String> {
+        match json {
+            Json::Str(s) => Ok(s.clone()),
+            _ => Err(expected(at, "a string", json)),
+        }
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::encode)
+    }
+
+    fn decode(json: &Json, at: &str) -> Result<Option<T>, String> {
+        match json {
+            Json::Null => Ok(None),
+            _ => T::decode(json, at).map(Some),
+        }
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self) -> Json {
+        Json::arr(self.iter().map(T::encode))
+    }
+
+    fn decode(json: &Json, at: &str) -> Result<Vec<T>, String> {
+        let Json::Arr(items) = json else {
+            return Err(expected(at, "an array", json));
+        };
+        let item = |(i, json)| T::decode(json, &format!("{at}[{i}]"));
+        items.iter().enumerate().map(item).collect()
+    }
+}
+
+/// Declares each struct's JSON form as its field list: an object with
+/// one key per listed field, in order, and the keys of a last `..field`
+/// beside them.
+macro_rules! record {
+    ($($t:ident { $($field:ident),+ $(, ..$flat:ident)? $(,)? })+) => {$(
+        impl Codec for $t {
+            fn encode(&self) -> Json {
+                let own = Json::obj([$((stringify!($field), self.$field.encode())),+]);
+                $(let own = beside(own, self.$flat.encode());)?
+                own
+            }
+
+            fn decode(json: &Json, at: &str) -> Result<$t, String> {
+                Ok($t {
+                    $($field: field(json, at, stringify!($field))?,)+
+                    $($flat: Codec::decode(json, at)?,)?
+                })
+            }
+        }
+    )+};
+}
+
+record! {
+    ScenarioSpec {
+        name, fleet, arrivals, traffic, policy, admission, preemption, autoscale, faults,
+        batching, seed, requests,
+    }
+    FleetSpec { groups }
+    CardGroupSpec { count, design, memory }
+    AutoscalerConfig { min_cards, up_queue_per_card, down_idle_s, warmup_s }
+    DecodeMix { min_steps, max_steps, exit_prob }
+    SessionProfile { min_turns, max_turns, think_mean_s, heavy_pct }
+    FaultSpec { at_frac, card, ..kind }
+}
+
+/// Declares each tagged enum's JSON form as its `kind`-to-fields list: an
+/// object whose `kind` names the variant, then the variant's fields or the
+/// keys of its one `..field`.
+macro_rules! tagged {
+    ($($t:ident {
+        $($kind:literal => $variant:ident $({ $($field:ident),+ })? $({ ..$flat:ident })?),+ $(,)?
+    })+) => {$(
+        impl Codec for $t {
+            fn encode(&self) -> Json {
+                match self {
+                    $($t::$variant $({ $($field),+ })? $({ $flat })? => {
+                        let own = Json::obj([
+                            ("kind", Json::Str($kind.into())),
+                            $($((stringify!($field), $field.encode()),)+)?
+                        ]);
+                        $(let own = beside(own, $flat.encode());)?
+                        own
+                    })+
+                }
+            }
+
+            fn decode(json: &Json, at: &str) -> Result<$t, String> {
+                match field::<String>(json, at, "kind")?.as_str() {
+                    $($kind => Ok($t::$variant $({
+                        $($field: field(json, at, stringify!($field))?),+
+                    })? $({ $flat: Codec::decode(json, at)? })?),)+
+                    other => Err(format!("{at}.kind: unknown kind {other:?}")),
                 }
             }
         }
-        let autoscale = match get(obj, "spec.autoscale", "autoscale")? {
-            Json::Null => None,
-            cfg => {
-                let cfg = as_obj(cfg, "autoscale")?;
-                Some(AutoscalerConfig {
-                    min_cards: as_usize(
-                        get(cfg, "autoscale.min_cards", "min_cards")?,
-                        "min_cards",
-                    )?,
-                    up_queue_per_card: as_usize(
-                        get(cfg, "autoscale.up_queue_per_card", "up_queue_per_card")?,
-                        "up_queue_per_card",
-                    )?,
-                    down_idle_s: as_f64(
-                        get(cfg, "autoscale.down_idle_s", "down_idle_s")?,
-                        "down_idle_s",
-                    )?,
-                    warmup_s: as_f64(get(cfg, "autoscale.warmup_s", "warmup_s")?, "warmup_s")?,
-                })
+    )+};
+}
+
+tagged! {
+    ArrivalProcess {
+        "poisson" => Poisson { rate_per_sec },
+        "bursty" => Bursty { base_rate, burst_rate, mean_burst_s, mean_gap_s },
+        "diurnal" => Diurnal { base_rate, peak_rate, period_s },
+        "flash-crowd" => FlashCrowd { base_rate, peak_rate, onset_s, decay_s },
+    }
+    TrafficModel {
+        "mix" => Mix { mix, decode },
+        "sessions" => Sessions { ..profile },
+    }
+    PolicySpec {
+        "fifo" => Fifo,
+        "least-loaded" => LeastLoaded,
+        "shortest-job-first" => ShortestJobFirst,
+        "head-affinity" => HeadAffinity,
+        "sharded-least-loaded" => ShardedLeastLoaded { max_shards, adaptive },
+        "sharded-shortest-job-first" => ShardedShortestJobFirst { max_shards, adaptive },
+        "session-affinity" => SessionAffinity { capacity_per_card },
+    }
+    PreemptionSpec {
+        "disabled" => Disabled,
+        "after-wait" => AfterWait { threshold_s },
+        "cost-aware" => CostAware { threshold_s },
+    }
+    FaultKind {
+        "kill" => Kill,
+        "degrade" => Degrade { factor },
+        "revive" => Revive { warmup_s },
+    }
+}
+
+/// Declares each plain enum's JSON form as its `name()`, read back by
+/// searching its `ALL` array.
+macro_rules! named {
+    ($($t:ident),+) => {$(
+        impl Codec for $t {
+            fn encode(&self) -> Json {
+                Json::Str(self.name().into())
             }
-        };
-        let batching = match as_str(get(obj, "spec.batching", "batching")?, "batching")? {
-            "continuous" => DecodeBatching::Continuous,
-            "whole-job" => DecodeBatching::WholeJob,
-            other => return Err(format!("unknown batching mode {other:?}")),
-        };
-        Ok(ScenarioSpec {
-            name: as_str(get(obj, "spec.name", "name")?, "name")?.to_string(),
-            fleet: FleetSpec::from_json(get(obj, "spec.fleet", "fleet")?)?,
-            arrivals: arrivals_from_json(get(obj, "spec.arrivals", "arrivals")?)?,
-            traffic: TrafficModel::from_json(get(obj, "spec.traffic", "traffic")?)?,
-            policy: PolicySpec::from_json(get(obj, "spec.policy", "policy")?)?,
-            admission,
-            preemption: PreemptionSpec::from_json(get(obj, "spec.preemption", "preemption")?)?,
-            autoscale,
-            faults: as_arr(get(obj, "spec.faults", "faults")?, "faults")?
-                .iter()
-                .map(FaultSpec::from_json)
-                .collect::<Result<Vec<_>, String>>()?,
-            batching,
-            seed: as_u64(get(obj, "spec.seed", "seed")?, "seed")?,
-            requests: as_usize(get(obj, "spec.requests", "requests")?, "requests")?,
-        })
+
+            fn decode(json: &Json, at: &str) -> Result<$t, String> {
+                let name = String::decode(json, at)?;
+                let known = $t::ALL.into_iter().find(|v| v.name() == name);
+                known.ok_or_else(|| format!("{at}: unknown name {name:?}"))
+            }
+        }
+    )+};
+}
+
+named!(CardDesign, DecodeBatching, RequestMix);
+
+/// `"hbm2"`, or an explicit bandwidth as a bare number.
+impl Codec for MemorySpec {
+    fn encode(&self) -> Json {
+        match self {
+            MemorySpec::Hbm2 => Json::Str("hbm2".into()),
+            MemorySpec::BytesPerSec(bps) => bps.encode(),
+        }
+    }
+
+    fn decode(json: &Json, at: &str) -> Result<MemorySpec, String> {
+        match json {
+            Json::Str(s) if s == "hbm2" => Ok(MemorySpec::Hbm2),
+            Json::Str(s) => Err(format!("{at}: unknown memory {s:?}, expected \"hbm2\"")),
+            _ => f64::decode(json, at).map(MemorySpec::BytesPerSec),
+        }
     }
 }
 
-fn arrivals_to_json(arrivals: &ArrivalProcess) -> Json {
-    match *arrivals {
-        ArrivalProcess::Poisson { rate_per_sec } => Json::obj([
-            ("kind", Json::Str("poisson".into())),
-            ("rate_per_sec", Json::Num(rate_per_sec)),
-        ]),
-        ArrivalProcess::Bursty {
-            base_rate,
-            burst_rate,
-            mean_burst_s,
-            mean_gap_s,
-        } => Json::obj([
-            ("kind", Json::Str("bursty".into())),
-            ("base_rate", Json::Num(base_rate)),
-            ("burst_rate", Json::Num(burst_rate)),
-            ("mean_burst_s", Json::Num(mean_burst_s)),
-            ("mean_gap_s", Json::Num(mean_gap_s)),
-        ]),
-        ArrivalProcess::Diurnal {
-            base_rate,
-            peak_rate,
-            period_s,
-        } => Json::obj([
-            ("kind", Json::Str("diurnal".into())),
-            ("base_rate", Json::Num(base_rate)),
-            ("peak_rate", Json::Num(peak_rate)),
-            ("period_s", Json::Num(period_s)),
-        ]),
-        ArrivalProcess::FlashCrowd {
-            base_rate,
-            peak_rate,
-            onset_s,
-            decay_s,
-        } => Json::obj([
-            ("kind", Json::Str("flash-crowd".into())),
-            ("base_rate", Json::Num(base_rate)),
-            ("peak_rate", Json::Num(peak_rate)),
-            ("onset_s", Json::Num(onset_s)),
-            ("decay_s", Json::Num(decay_s)),
-        ]),
+/// One cap per class, keyed by class name; `null` is uncapped.
+impl Codec for AdmissionControl {
+    fn encode(&self) -> Json {
+        let caps = RequestClass::ALL.iter().zip(&self.queue_caps);
+        let pairs = caps.map(|(class, cap)| (class.name().to_string(), cap.encode()));
+        Json::Obj(pairs.collect())
     }
-}
 
-fn arrivals_from_json(json: &Json) -> Result<ArrivalProcess, String> {
-    let obj = as_obj(json, "arrivals")?;
-    let f = |key: &str| as_f64(get(obj, "arrivals field", key)?, key);
-    match as_str(get(obj, "arrivals.kind", "kind")?, "arrivals.kind")? {
-        "poisson" => Ok(ArrivalProcess::Poisson {
-            rate_per_sec: f("rate_per_sec")?,
-        }),
-        "bursty" => Ok(ArrivalProcess::Bursty {
-            base_rate: f("base_rate")?,
-            burst_rate: f("burst_rate")?,
-            mean_burst_s: f("mean_burst_s")?,
-            mean_gap_s: f("mean_gap_s")?,
-        }),
-        "diurnal" => Ok(ArrivalProcess::Diurnal {
-            base_rate: f("base_rate")?,
-            peak_rate: f("peak_rate")?,
-            period_s: f("period_s")?,
-        }),
-        "flash-crowd" => Ok(ArrivalProcess::FlashCrowd {
-            base_rate: f("base_rate")?,
-            peak_rate: f("peak_rate")?,
-            onset_s: f("onset_s")?,
-            decay_s: f("decay_s")?,
-        }),
-        other => Err(format!("unknown arrival kind {other:?}")),
+    fn decode(json: &Json, at: &str) -> Result<AdmissionControl, String> {
+        let mut admission = AdmissionControl::admit_all();
+        for (class, cap) in RequestClass::ALL.iter().zip(&mut admission.queue_caps) {
+            *cap = field(json, at, class.name())?;
+        }
+        Ok(admission)
     }
-}
-
-// ---- small typed accessors over the ordered-pairs Json object ----
-
-fn get<'a>(obj: &'a [(String, Json)], context: &str, key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("{context}: missing field {key:?}"))
-}
-
-fn as_obj<'a>(json: &'a Json, context: &str) -> Result<&'a [(String, Json)], String> {
-    match json {
-        Json::Obj(pairs) => Ok(pairs),
-        other => Err(format!("{context}: expected an object, got {other:?}")),
-    }
-}
-
-fn as_arr<'a>(json: &'a Json, context: &str) -> Result<&'a [Json], String> {
-    match json {
-        Json::Arr(items) => Ok(items),
-        other => Err(format!("{context}: expected an array, got {other:?}")),
-    }
-}
-
-fn as_str<'a>(json: &'a Json, context: &str) -> Result<&'a str, String> {
-    match json {
-        Json::Str(s) => Ok(s),
-        other => Err(format!("{context}: expected a string, got {other:?}")),
-    }
-}
-
-fn as_bool(json: &Json, context: &str) -> Result<bool, String> {
-    match json {
-        Json::Bool(b) => Ok(*b),
-        other => Err(format!("{context}: expected a boolean, got {other:?}")),
-    }
-}
-
-fn as_f64(json: &Json, context: &str) -> Result<f64, String> {
-    match *json {
-        Json::Num(x) => Ok(x),
-        Json::Int(i) => Ok(i as f64),
-        Json::UInt(u) => Ok(u as f64),
-        ref other => Err(format!("{context}: expected a number, got {other:?}")),
-    }
-}
-
-fn as_u64(json: &Json, context: &str) -> Result<u64, String> {
-    match *json {
-        Json::UInt(u) => Ok(u),
-        Json::Int(i) if i >= 0 => Ok(i as u64),
-        ref other => Err(format!(
-            "{context}: expected a non-negative integer, got {other:?}"
-        )),
-    }
-}
-
-fn as_usize(json: &Json, context: &str) -> Result<usize, String> {
-    as_u64(json, context).map(|u| u as usize)
 }
 
 #[cfg(test)]
@@ -1216,11 +1020,24 @@ mod tests {
 
     #[test]
     fn from_json_reports_missing_fields() {
-        let mut json = spec().to_json();
-        if let Json::Obj(pairs) = &mut json {
-            pairs.retain(|(k, _)| k != "policy");
+        fn strip(json: &mut Json, key: &str) {
+            match json {
+                Json::Obj(pairs) => {
+                    pairs.retain(|(k, _)| k != key);
+                    pairs.iter_mut().for_each(|(_, v)| strip(v, key));
+                }
+                Json::Arr(items) => items.iter_mut().for_each(|v| strip(v, key)),
+                _ => {}
+            }
         }
-        let err = ScenarioSpec::from_json(&json).unwrap_err();
-        assert!(err.contains("policy"), "{err}");
+        for (key, path) in [
+            ("policy", "spec.policy"),
+            ("at_frac", "spec.faults[0].at_frac"),
+        ] {
+            let mut json = spec().to_json();
+            strip(&mut json, key);
+            let err = ScenarioSpec::from_json(&json).unwrap_err();
+            assert!(err.contains(path), "{err}");
+        }
     }
 }

@@ -339,6 +339,9 @@ pub enum DecodeBatching {
 }
 
 impl DecodeBatching {
+    /// Both modes, the default first.
+    pub const ALL: [DecodeBatching; 2] = [DecodeBatching::Continuous, DecodeBatching::WholeJob];
+
     /// Sweep-facing label.
     pub fn name(&self) -> &'static str {
         match self {

@@ -4,11 +4,14 @@
 //! back as diagnostics, never panics.
 
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashSet};
+use std::time::Duration;
+use swat_hw::MemoryInterface;
 use swat_serve::arrival::ArrivalProcess;
 use swat_serve::fault::FaultPlan;
 use swat_serve::fleet::FleetConfig;
 use swat_serve::json::Json;
-use swat_serve::policy::LeastLoaded;
+use swat_serve::policy::{LeastLoaded, SessionAffinity};
 use swat_serve::scale::{Autoscaler, AutoscalerConfig};
 use swat_serve::scenario::{
     CardDesign, CardGroupSpec, FaultKindSpec, FaultSpec, FleetSpec, MemorySpec, PolicySpec,
@@ -405,7 +408,7 @@ fn builders_panic_with_the_diagnostic_validate_returns() {
         seed: 0,
     };
     type Builder = Box<dyn Fn()>;
-    let cases: [(&str, Builder, ScenarioSpec); 7] = [
+    let cases: [(&str, Builder, ScenarioSpec); 10] = [
         (
             "zero poisson rate",
             Box::new(|| {
@@ -483,6 +486,41 @@ fn builders_panic_with_the_diagnostic_validate_returns() {
             }),
             ScenarioSpec {
                 faults: vec![fault(9, FaultKindSpec::Kill)],
+                ..ScenarioSpec::default()
+            },
+        ),
+        (
+            "zero memory bandwidth",
+            Box::new(|| {
+                let _ = MemoryInterface::new(0.0);
+            }),
+            ScenarioSpec {
+                fleet: FleetSpec::binned(1, 0.0),
+                ..ScenarioSpec::default()
+            },
+        ),
+        (
+            "zero shard cap",
+            Box::new(|| {
+                let _ = LeastLoaded::new(0);
+            }),
+            ScenarioSpec {
+                policy: PolicySpec::ShardedLeastLoaded {
+                    max_shards: 0,
+                    adaptive: true,
+                },
+                ..ScenarioSpec::default()
+            },
+        ),
+        (
+            "zero affinity capacity",
+            Box::new(|| {
+                let _ = SessionAffinity::new(0);
+            }),
+            ScenarioSpec {
+                policy: PolicySpec::SessionAffinity {
+                    capacity_per_card: 0,
+                },
                 ..ScenarioSpec::default()
             },
         ),
@@ -682,4 +720,115 @@ fn json_form_matches_the_committed_fixture() {
         .expect("BENCH_plan.json has a template");
     let spec = ScenarioSpec::from_json(template).expect("the template loads");
     assert_eq!(spec.to_json().pretty(), template.pretty());
+}
+
+#[test]
+fn out_of_range_integers_are_rejected_not_truncated() {
+    // Narrowing with `as` loaded heavy_pct 300 as 44, a valid share, and
+    // min_steps 2^32 + 2 as 2.
+    let sessions = ScenarioSpec {
+        traffic: TrafficModel::Sessions {
+            profile: SessionProfile::standard(),
+        },
+        ..ScenarioSpec::default()
+    };
+    let decode = ScenarioSpec {
+        traffic: TrafficModel::Mix {
+            mix: RequestMix::Interactive,
+            decode: Some(DecodeMix {
+                min_steps: 2,
+                max_steps: 6,
+                exit_prob: 0.2,
+            }),
+        },
+        ..ScenarioSpec::default()
+    };
+    for (spec, from, to, path) in [
+        (
+            sessions,
+            "\"heavy_pct\": 10",
+            "\"heavy_pct\": 300",
+            "spec.traffic.heavy_pct",
+        ),
+        (
+            decode,
+            "\"min_steps\": 2",
+            "\"min_steps\": 4294967298",
+            "spec.traffic.decode.min_steps",
+        ),
+    ] {
+        let text = spec.to_json().pretty();
+        assert!(text.contains(from), "{text}");
+        let json = Json::parse(&text.replace(from, to)).expect("the edited spec parses");
+        let err = ScenarioSpec::from_json(&json).expect_err(to);
+        assert!(err.contains(path), "{to}: {err}");
+    }
+}
+
+#[test]
+fn an_overflowing_diurnal_clock_ends_the_trace_instead_of_hanging() {
+    // Past the largest `f64` the thinning rate is NaN, which rejected every
+    // candidate forever; a worker thread lets a hang fail this test alone.
+    let arrivals = ArrivalProcess::diurnal(1e-307, 1e-307);
+    let (done, result) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let times = arrivals.times(50, 0);
+        let spec = ScenarioSpec {
+            arrivals,
+            requests: 50,
+            ..ScenarioSpec::default()
+        };
+        let _ = done.send((times, spec.run().map(|report| report.offered)));
+    });
+    let (times, run) = result
+        .recv_timeout(Duration::from_secs(5))
+        .expect("diurnal arrivals return within 5 s");
+    worker.join().expect("the worker finishes once it has sent");
+    assert!(times.last().is_some_and(|t| t.is_infinite()), "{times:?}");
+    let err = run.expect_err("the spec's arrival clock overflows");
+    assert!(err.contains("non-finite"), "{err}");
+}
+
+#[test]
+fn docs_name_every_key_and_value_of_the_spec_format() {
+    // Every key and named value the writer emits (a spec's free-form
+    // `name` aside) appears as a whole word in the docs' field table.
+    fn names(json: &Json, out: &mut BTreeSet<String>) {
+        match json {
+            Json::Obj(pairs) => {
+                for (key, value) in pairs {
+                    out.insert(key.clone());
+                    if key != "name" {
+                        names(value, out);
+                    }
+                }
+            }
+            Json::Arr(items) => items.iter().for_each(|item| names(item, out)),
+            Json::Str(s) => {
+                out.insert(s.clone());
+            }
+            _ => {}
+        }
+    }
+    let docs = include_str!("../../../docs/serving.md");
+    let (_, section) = docs
+        .split_once("### `ScenarioSpec` fields")
+        .expect("docs/serving.md has a ScenarioSpec fields section");
+    let section = section.split("\n#").next().unwrap_or(section);
+    let words: HashSet<&str> = section
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-'))
+        .collect();
+    let mut used = BTreeSet::new();
+    names(
+        &Json::parse(FIXTURE).expect("the fixture parses"),
+        &mut used,
+    );
+    let missing: Vec<&String> = used
+        .iter()
+        .filter(|name| !words.contains(name.as_str()))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "docs/serving.md's ScenarioSpec fields section never names {missing:?}"
+    );
 }
