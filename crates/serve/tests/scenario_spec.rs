@@ -14,7 +14,7 @@ use swat_serve::json::Json;
 use swat_serve::policy::{LeastLoaded, SessionAffinity};
 use swat_serve::scale::{Autoscaler, AutoscalerConfig};
 use swat_serve::scenario::{
-    CardDesign, CardGroupSpec, FaultKindSpec, FaultSpec, FleetSpec, MemorySpec, PolicySpec,
+    CardDesign, CardGroupSpec, Codec, FaultKindSpec, FaultSpec, FleetSpec, MemorySpec, PolicySpec,
     PreemptionSpec, ScenarioSpec, TrafficModel,
 };
 use swat_serve::session::SessionTraffic;
@@ -762,6 +762,25 @@ fn out_of_range_integers_are_rejected_not_truncated() {
         let json = Json::parse(&text.replace(from, to)).expect("the edited spec parses");
         let err = ScenarioSpec::from_json(&json).expect_err(to);
         assert!(err.contains(path), "{to}: {err}");
+    }
+}
+
+#[test]
+fn each_arrival_kind_encodes_the_name_its_reports_use() {
+    // Report labels come from `ArrivalProcess::name()` and the spec's JSON
+    // `kind` from the codec's declaration: a rename in one place alone
+    // would split the two.
+    for arrivals in [
+        ArrivalProcess::poisson(2.0),
+        ArrivalProcess::bursty(2.0),
+        ArrivalProcess::diurnal(1.0, 4.0),
+        ArrivalProcess::flash_crowd(1.0, 8.0, 0.2, 0.3),
+    ] {
+        let Json::Obj(pairs) = arrivals.encode() else {
+            panic!("{arrivals:?} encodes to an object");
+        };
+        let kind = pairs.iter().find(|(key, _)| key == "kind").map(|(_, v)| v);
+        assert_eq!(kind, Some(&Json::Str(arrivals.name().to_string())));
     }
 }
 
