@@ -22,7 +22,7 @@
 //!   before any same-instant preemption, scaling, or fault logic runs.
 //! - [`PriorityQueue`] keeps the waiting set ordered by
 //!   [`Request::rank_key`]: class rank first, then request id. It stores
-//!   only small slots (id, arena index, work key) — one sorted lane per
+//!   only small slots (id, row index, work key) — one sorted lane per
 //!   class, consumed from the front through a `head` cursor — so queue
 //!   membership costs no `Request` copies. Head-of-lane removal (the
 //!   overwhelmingly common dispatch path) is a cursor bump; mid-lane
@@ -40,8 +40,8 @@
 //!   break same-seed reproducibility.
 //!
 //! Policies see the queue through [`QueueView`], a by-value window that
-//! resolves arena indices against the request arena on access — no
-//! materialized `Vec<Request>` per event batch.
+//! resolves row indices against the simulator's request rows on access —
+//! no materialized `Vec<Request>` per event batch.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeSet, BinaryHeap};
@@ -76,9 +76,12 @@ pub enum Event {
         /// Shard id, unique within the request's lifetime (a request
         /// served whole is its own single shard, id 0).
         shard: u32,
-        /// Dense arena index of the request, so delivery needs no
-        /// id-to-slot lookup. Not part of the ordering key: it is
-        /// redundant with `id`, which already breaks the tie.
+        /// The request's row in the simulator's flight table, so
+        /// delivery needs no id-to-row lookup. A row is reused once its
+        /// request finishes, so a stale timer can find its row holding
+        /// another request; the simulator checks `id` before trusting the
+        /// row. Not part of the ordering key: `id` already breaks the tie,
+        /// so which row a request holds cannot reorder events.
         index: u32,
     },
     /// A non-final decode step of request `id` fanned in at this instant
@@ -98,8 +101,9 @@ pub enum Event {
         card: usize,
         /// Id of the request whose step finished.
         id: u64,
-        /// Dense arena index of the request (same contract as
-        /// `Completion::index`).
+        /// The request's row (as `Completion::index`). The row stays the
+        /// request's until this event is handled: it is pushed at the
+        /// fan-in instant, and the request is still live.
         index: u32,
     },
     /// A preemption check: the request with this id has waited past the
@@ -299,7 +303,7 @@ impl EventQueue {
 struct Slot {
     /// Request id — the lane's sort key.
     id: u64,
-    /// Dense arena index of the request.
+    /// The request's row in the simulator's flight table.
     index: u32,
     /// The request's [`work_key`] at push time, so removal can find its
     /// work-index entry; 0 in an unindexed queue.
@@ -365,12 +369,13 @@ impl Lane {
 
 /// The waiting-request queue, ordered by `(class rank, request id)`.
 ///
-/// Stores dense arena indices, not `Request` values: the simulator's
-/// request arena owns the records and the queue only orders membership.
-/// Policies receive the queue as a [`QueueView`] over the arena, so
-/// higher classes always occupy the front and arrival order is preserved
-/// within a class. See the module docs for why this order *stability* is
-/// load-bearing for determinism.
+/// Stores row indices, not `Request` values: the simulator's flight
+/// table owns the records (one row per queued or in-flight request,
+/// recycled once the request finishes) and the queue only orders
+/// membership. Policies receive the queue as a [`QueueView`] over those
+/// rows, so higher classes always occupy the front and arrival order is
+/// preserved within a class. See the module docs for why this order
+/// *stability* is load-bearing for determinism.
 ///
 /// A queue built by [`PriorityQueue::with_work_index`] also keeps, per
 /// class, an ordered set of `(work key, request id)` — the key is
@@ -413,7 +418,7 @@ impl PriorityQueue {
         self.len == 0
     }
 
-    /// Enqueues the request stored at arena slot `index`.
+    /// Enqueues the request stored at row `index`.
     ///
     /// Appends in O(1) for the common monotone-id arrival stream; a
     /// requeued preemption remnant (id below the lane tail) pays one
@@ -458,7 +463,7 @@ impl PriorityQueue {
     }
 
     /// Removes the queued request with this [`Request::rank_key`] and
-    /// returns its arena index, if present — how a second preempted shard
+    /// returns its row, if present — how a second preempted shard
     /// of one request merges into its already-queued remnant instead of
     /// colliding with it.
     pub fn remove(&mut self, key: (u8, u64)) -> Option<u32> {
@@ -468,7 +473,7 @@ impl PriorityQueue {
     }
 
     /// Removes the request at `index` of the dispatch order (the order a
-    /// [`QueueView`] iterates in) and returns its arena index.
+    /// [`QueueView`] iterates in) and returns its row.
     ///
     /// # Panics
     ///
@@ -486,7 +491,7 @@ impl PriorityQueue {
     }
 
     /// Removes the live entry at `pos` of lane `class`, with its
-    /// work-index entry, and returns its arena index.
+    /// work-index entry, and returns its row.
     fn remove_at(&mut self, class: usize, pos: usize) -> u32 {
         let slot = self.lanes[class].remove_at(pos);
         if let Some(by_work) = &mut self.by_work {
@@ -498,7 +503,7 @@ impl PriorityQueue {
     }
 
     /// The queue in dispatch order as a by-value window over the request
-    /// arena — no per-event materialization.
+    /// rows — no per-event materialization.
     pub fn view<'a>(&'a self, requests: &'a [Request]) -> QueueView<'a> {
         let lanes = std::array::from_fn(|i| self.lanes[i].live());
         QueueView {
@@ -516,8 +521,9 @@ impl PriorityQueue {
 /// (class rank, then request id).
 ///
 /// Policies index and iterate it like a slice; entries resolve to
-/// `&Request` in the simulator's arena. [`QueueView::flat`] wraps a plain
-/// ordered slice — the form reference implementations and tests use.
+/// `&Request` in the simulator's request rows. [`QueueView::flat`] wraps
+/// a plain ordered slice — the form reference implementations and tests
+/// use.
 #[derive(Debug, Clone, Copy)]
 pub struct QueueView<'a> {
     kind: ViewKind<'a>,
@@ -526,7 +532,7 @@ pub struct QueueView<'a> {
 
 #[derive(Debug, Clone, Copy)]
 enum ViewKind<'a> {
-    /// Per-class lanes over the request arena, with the queue's work
+    /// Per-class lanes over the request rows, with the queue's work
     /// index when it keeps one.
     Ranked {
         requests: &'a [Request],

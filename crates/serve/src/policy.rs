@@ -13,7 +13,7 @@
 //! first, arrival order within a class (see
 //! [`crate::event::PriorityQueue`], viewed through
 //! [`crate::event::QueueView`] — a by-value window over the
-//! simulator's request arena, so no queue is materialized per decision).
+//! simulator's request rows, so no queue is materialized per decision).
 //! A policy that serves `queue.get(0)` is
 //! therefore automatically priority-aware. Since fleets may be
 //! heterogeneous, every policy compares cards through

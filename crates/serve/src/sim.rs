@@ -37,11 +37,14 @@
 //! admits every shard — each entry of a plan, and a whole-job decode
 //! step re-admitted in place — and `requeue_remnant` handles every
 //! eviction, preempted or lost with its card. The state is
-//! **arena-backed**: one working copy of every request lives in a dense
-//! slab indexed by arrival position, the fan-in table is a flat
-//! `FlightMeta` row per request (no tree, no per-dispatch allocation),
-//! shard slots live in a free-list slab threaded per request in dispatch
-//! order, and the waiting queue stores arena indices. [`CardView`]
+//! **arena-backed** and sized to the work in flight: arrivals are read
+//! from the caller's trace, and a request holds a row of the flight table
+//! (its working copy plus a flat `FlightMeta` fan-in record: no tree, no
+//! per-dispatch allocation) only while it is queued or in flight. Rows
+//! recycle through a free list, so memory follows the peak of queued plus
+//! in-flight requests, not the trace length. Shard slots live in a
+//! free-list slab threaded per request in dispatch order, and the waiting
+//! queue and every completion event carry row indices. [`CardView`]
 //! snapshots are maintained **incrementally**: only cards marked dirty by
 //! an event (completion, eviction, warm-up, scaling) or carrying decaying
 //! backlog are recomputed per batch, with a debug-build cross-check
@@ -52,8 +55,9 @@
 //! waiting queue orders by `(class rank, id)`, and all randomness lives
 //! in the seeded generators upstream. Preempted completions are handled
 //! by tombstoning: the stale completion timer stays in the heap and is
-//! dropped at delivery when its shard id no longer matches a live slot in
-//! the in-flight table.
+//! dropped at delivery when its row now holds another request (ids are
+//! unique per trace) or its shard id no longer matches a live slot in the
+//! row's shard chain.
 
 use crate::arrival::ArrivalProcess;
 use crate::cost::CostModel;
@@ -566,6 +570,7 @@ pub(crate) fn check_trace(requests: &[Request]) -> Result<(), String> {
     }
     let n = requests.len();
     let mut last = requests[0].arrival;
+    let mut positional = true;
     for (i, r) in requests.iter().enumerate() {
         if !r.arrival.is_finite() {
             return Err(format!("arrival {i} of {n} resolves to a non-finite time"));
@@ -574,25 +579,21 @@ pub(crate) fn check_trace(requests: &[Request]) -> Result<(), String> {
             return Err("requests must be sorted by arrival".to_string());
         }
         last = r.arrival;
+        positional &= r.id == i as u64;
     }
-    // Id uniqueness: an O(n) bitmap for the common dense-id case (traffic
-    // generators number requests densely); arbitrary ids fall back to a
-    // sort.
-    const DUPLICATE: &str = "request ids must be unique (the kernel's tie-breaking orders by id)";
-    let mut seen = vec![false; n];
-    for r in requests {
-        match usize::try_from(r.id).ok().filter(|&i| i < n) {
-            Some(i) if seen[i] => return Err(DUPLICATE.to_string()),
-            Some(i) => seen[i] = true,
-            None => {
-                let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-                ids.sort_unstable();
-                if ids.windows(2).any(|w| w[0] == w[1]) {
-                    return Err(DUPLICATE.to_string());
-                }
-                return Ok(());
-            }
-        }
+    // Id uniqueness. Every traffic generator numbers requests by arrival
+    // position, and ids equal to positions are unique, so generated traces
+    // allocate nothing here; any other numbering is sorted and checked for
+    // equal neighbours.
+    if positional {
+        return Ok(());
+    }
+    let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    if ids.windows(2).any(|w| w[0] == w[1]) {
+        return Err(
+            "request ids must be unique (the kernel's tie-breaking orders by id)".to_string(),
+        );
     }
     Ok(())
 }
@@ -622,15 +623,17 @@ struct Kernel<'k> {
     /// what admission charges.
     cost: CostModel,
     scaler: Option<Autoscaler>,
-    /// The first arrival.
-    t0: f64,
+    /// The caller's trace, read one arrival at a time; the kernel keeps no
+    /// copy of it.
+    trace: &'k [Request],
     events: EventQueue,
     arrivals_done: bool,
     queue: PriorityQueue,
-    /// The arena: one working copy of every request, its fan-in row, and
-    /// the shard-slot slab. Every lookup is a dense index carried by the
-    /// event itself; a completion whose shard id no longer matches a live
-    /// slot is a tombstone and is dropped at delivery.
+    /// The arena: a row (working copy plus fan-in record) for each queued
+    /// or in-flight request, and the shard-slot slab. Every lookup is a
+    /// row index carried by the event itself; a completion whose row now
+    /// holds another request, or whose shard id no longer matches a live
+    /// slot, is a tombstone and is dropped at delivery.
     table: FlightTable,
     /// One snapshot per card, maintained incrementally. A card is
     /// recomputed only when an event marked it `stale` or its last
@@ -671,12 +674,12 @@ impl<'k> Kernel<'k> {
     fn new(
         sim: &'k Simulation<'k>,
         policy: &'k mut dyn DispatchPolicy,
-        requests: &[Request],
+        trace: &'k [Request],
         sink: &'k mut dyn TraceSink,
         counters: &'k mut KernelCounters,
     ) -> Kernel<'k> {
         let mut fleet: Fleet = sim.fleet.build().expect("invalid fleet configuration");
-        let t0 = requests[0].arrival;
+        let t0 = trace[0].arrival;
         let mut scaler = sim.autoscale.map(Autoscaler::new);
         match scaler.as_mut() {
             Some(s) => s.begin(&mut fleet, t0),
@@ -693,7 +696,7 @@ impl<'k> Kernel<'k> {
         // state. Times before the first arrival clamp to it (a fault
         // cannot precede the trace).
         let mut events = EventQueue::new();
-        let id = requests[0].id;
+        let id = trace[0].id;
         events.push(t0, Event::Arrival { index: 0, id });
         for f in sim.faults.events() {
             let card = f.card;
@@ -716,7 +719,7 @@ impl<'k> Kernel<'k> {
                 PriorityQueue::new()
             },
             accum: ReportAccum::new(sim.telemetry, policy.name(), &sim.arrivals_label),
-            table: FlightTable::new(requests, fleet.total_pipelines()),
+            table: FlightTable::new(fleet.total_pipelines()),
             views: fleet
                 .cards()
                 .iter()
@@ -730,7 +733,7 @@ impl<'k> Kernel<'k> {
             counters,
             fleet,
             scaler,
-            t0,
+            trace,
             events,
             arrivals_done: false,
             live_shards: 0,
@@ -747,18 +750,19 @@ impl<'k> Kernel<'k> {
         }
     }
 
-    /// Request `index` arrives: the next arrival is scheduled, then the
-    /// request is queued (arming its preemption timer if it is
-    /// interactive) or shed by admission control.
+    /// Request `index` of the trace arrives: the next arrival is
+    /// scheduled, then the request takes a flight row and is queued
+    /// (arming its preemption timer if it is interactive), or is shed by
+    /// admission control without taking a row.
     fn arrival(&mut self, now: f64, index: usize) {
-        match self.table.requests.get(index + 1) {
+        match self.trace.get(index + 1) {
             Some(r) => {
                 let (index, id) = (index + 1, r.id);
                 self.events.push(r.arrival, Event::Arrival { index, id });
             }
             None => self.arrivals_done = true,
         }
-        let request = &self.table.requests[index];
+        let request = &self.trace[index];
         if self.traced {
             self.sink.arrival(now, request);
         }
@@ -769,7 +773,8 @@ impl<'k> Kernel<'k> {
             self.accum.reject(request);
             return;
         }
-        self.queue.push(request, index as u32);
+        let row = self.table.open(request);
+        self.queue.push(request, row);
         match self.sim.preemption.wait_threshold_s {
             Some(threshold) if request.class == RequestClass::Interactive => {
                 self.events
@@ -779,17 +784,31 @@ impl<'k> Kernel<'k> {
         }
     }
 
-    /// A shard drained. A shard id with no live slot is the stale timer
-    /// of an evicted shard — dropped. The request's last outstanding
-    /// shard fans in its decode step: the request completes, or, with
+    /// A shard drained. A timer whose row now holds another request, or
+    /// whose shard id has no live slot, is the stale timer of an evicted
+    /// shard — dropped. The request's last outstanding shard fans in its
+    /// decode step: the request completes and frees its row, or, with
     /// more steps owed, a [`Event::StepComplete`] at `now` re-enters it.
     fn completion(&mut self, now: f64, id: u64, shard: u32, index: u32) {
         let fi = index as usize;
-        debug_assert_eq!(self.table.requests[fi].id, id);
-        let Some(slot) = self.table.unlink_shard(fi, shard) else {
+        // An evicted shard's timer can outlive its request. Its row may
+        // then hold a later request, whose shard ids also start at 0, so
+        // the id check comes first (ids are unique per trace).
+        let slot = if self.table.requests[fi].id == id {
+            self.table.unlink_shard(fi, shard)
+        } else {
+            None
+        };
+        let Some(slot) = slot else {
             self.counters.tombstoned_completions += 1;
             return;
         };
+        // Every completion is pushed at its admission's finish, so a
+        // timer delivered to the wrong shard shows here.
+        debug_assert_eq!(
+            slot.admission.finish, now,
+            "completion reached the wrong shard"
+        );
         self.live_shards -= 1;
         self.stale[slot.card] = true;
         if self.traced {
@@ -818,7 +837,6 @@ impl<'k> Kernel<'k> {
                 .push(now, Event::StepComplete { card, id, index });
             return;
         }
-        meta.live = false;
         let record = CompletedRequest {
             request: *request,
             dispatched: meta.dispatched,
@@ -828,7 +846,7 @@ impl<'k> Kernel<'k> {
             pipeline: slot.pipeline,
             shards: meta.max_width,
         };
-        self.table.remove_live(index);
+        self.table.close(index);
         if self.traced {
             self.sink.fan_in(now, &record);
         }
@@ -923,7 +941,7 @@ impl<'k> Kernel<'k> {
         }
     }
 
-    /// The in-flight background shard a preemption evicts — arena index,
+    /// The in-flight background shard a preemption evicts — flight row,
     /// shard id, and its eviction price under
     /// [`PreemptionControl::cost_aware`] — or `None` when there is none.
     ///
@@ -1215,7 +1233,7 @@ impl<'k> Kernel<'k> {
     /// unfinished tail. Returns the evicted slot and the jobs it
     /// checkpointed.
     ///
-    /// The arena record becomes the remnant in place: while a remnant
+    /// The flight row's record becomes the remnant in place: while a remnant
     /// waits in the queue the record holds exactly its job range
     /// (dispatch restores last-dispatched state), and it owes one restart
     /// penalty that its first admission pays. If a remnant of the same
@@ -1321,29 +1339,31 @@ impl<'k> Kernel<'k> {
                 self.fleet.cards().iter().all(Card::dead),
                 "drained simulation left requests queued"
             );
-            let fi = self.queue.take(0) as usize;
-            if self.table.flights[fi].live {
-                // A remnant whose sibling shards died too: clear its
-                // fan-in row so the live index empties.
-                self.table.flights[fi].live = false;
-                self.table.flights[fi].queued_jobs = 0;
-                self.table.remove_live(fi as u32);
-            }
+            let row = self.queue.take(0);
+            let request = &self.table.requests[row as usize];
             if self.traced {
-                self.sink.failed(self.last_event, &self.table.requests[fi]);
+                self.sink.failed(self.last_event, request);
             }
-            self.accum.fail(&self.table.requests[fi]);
+            self.accum.fail(request);
+            // A remnant whose sibling shards died too leaves the live
+            // index here.
+            self.table.close(row);
         }
         assert!(
             self.table.live.is_empty(),
             "drained simulation left work in flight"
         );
+        debug_assert_eq!(
+            self.table.free.len(),
+            self.table.requests.len(),
+            "every flight row is returned"
+        );
         assert_eq!(
             self.accum.offered(),
-            self.table.requests.len(),
+            self.trace.len(),
             "every request completes, is shed, or fails"
         );
-        self.counters.sim_span_s = self.last_event - self.t0;
+        self.counters.sim_span_s = self.last_event - self.trace[0].arrival;
         // Close every card's powered clock at the last event — with the
         // early stop, the last completion — so powered/idle accounting
         // covers exactly the reported span.
@@ -1356,7 +1376,7 @@ impl<'k> Kernel<'k> {
             failed: self.accum.failed(),
             ..self.faults
         });
-        let span = self.accum.span(self.t0);
+        let span = self.accum.span(self.trace[0].arrival);
         let cards = self
             .fleet
             .cards()
@@ -1392,11 +1412,12 @@ impl<'k> Kernel<'k> {
 /// Null arena index: the end of a shard chain, the empty free list.
 const NIL: u32 = u32::MAX;
 
-/// The fan-in row of one request: its live shard chain, any preempted
-/// remnant waiting in the queue, and the dispatch bookkeeping the
-/// eventual [`CompletedRequest`] reports. One flat row per request,
-/// preallocated — the request completes when the last shard drains *and*
-/// no remnant is queued.
+/// The fan-in record of one queued or in-flight request: its live shard
+/// chain, any preempted remnant waiting in the queue, and the dispatch
+/// bookkeeping the eventual [`CompletedRequest`] reports. It starts empty
+/// when the request takes its row at admission; the request completes
+/// when the last shard drains *and* no remnant is queued, and the row is
+/// freed then.
 #[derive(Debug, Clone, Copy)]
 struct FlightMeta {
     /// When a card most recently started executing a fragment of it.
@@ -1410,7 +1431,10 @@ struct FlightMeta {
     /// the priority queue (0 when nothing is queued).
     queued_jobs: usize,
     /// Next shard id — unique within the request's lifetime, which is
-    /// what lets stale completion timers tombstone per shard.
+    /// what lets stale completion timers tombstone per shard. A timer
+    /// that outlives its request finds the row holding another request,
+    /// whose ids restart at 0; [`Kernel::completion`] tells the two apart
+    /// by request id.
     next_shard: u32,
     /// Peak concurrent shard width so far (what the report calls the
     /// request's shard count).
@@ -1422,7 +1446,7 @@ struct FlightMeta {
     head: u32,
     /// Last node of the shard chain — O(1) append.
     tail: u32,
-    /// Whether the request is dispatched-and-unfinished (has a row in
+    /// Whether the request is dispatched-and-unfinished (has an entry in
     /// [`FlightTable::live`]).
     live: bool,
 }
@@ -1484,33 +1508,71 @@ impl ShardArena {
     }
 }
 
-/// The per-run arena replacing the id-keyed fan-in tree: one working copy
-/// of every request (indexed by arrival position — the dense index every
-/// event and queue entry carries), one flat [`FlightMeta`] row each, the
-/// shard slab, and the sorted index of live flights.
+/// The per-run arena: one row per queued or in-flight request (its
+/// working copy in `requests` and its [`FlightMeta`] in `flights`, at the
+/// row index every queue slot and completion event carries), the free
+/// list that recycles rows, the shard slab, and the sorted index of live
+/// flights. A request takes a row when admission control lets it in
+/// ([`FlightTable::open`]) and gives it back when it completes or fails
+/// ([`FlightTable::close`]); a shed request never takes one. The table
+/// therefore grows to the peak of queued plus in-flight requests, not to
+/// the trace length.
 #[derive(Debug)]
 struct FlightTable {
-    /// The working copy of every request. While a preempted remnant waits
-    /// in the queue its record holds the remnant's job range; dispatch
-    /// restores last-dispatched state. This is safe because a request is
-    /// never queued twice and fan-in waits for `queued_jobs == 0`.
+    /// Each row's working copy of its request. While a preempted remnant
+    /// waits in the queue its record holds the remnant's job range;
+    /// dispatch restores last-dispatched state. This is safe because a
+    /// request is never queued twice and fan-in waits for
+    /// `queued_jobs == 0`.
     requests: Vec<Request>,
     flights: Vec<FlightMeta>,
+    /// Rows whose request has completed or failed, reused last-freed
+    /// first.
+    free: Vec<u32>,
     shards: ShardArena,
-    /// Arena indices of live flights, sorted by request id — ascending
+    /// Rows of live flights, sorted by request id — ascending
     /// iteration reproduces the replaced `BTreeMap`'s visit order, which
     /// victim selection depends on.
     live: Vec<u32>,
 }
 
 impl FlightTable {
-    fn new(requests: &[Request], total_pipelines: usize) -> FlightTable {
+    fn new(total_pipelines: usize) -> FlightTable {
         FlightTable {
-            requests: requests.to_vec(),
-            flights: vec![FlightMeta::EMPTY; requests.len()],
+            requests: Vec::new(),
+            flights: Vec::new(),
+            free: Vec::new(),
             shards: ShardArena::with_capacity(total_pipelines),
             live: Vec::new(),
         }
+    }
+
+    /// Copies an admitted `request` into a free row, or a new one, with
+    /// an empty fan-in record, and returns the row.
+    fn open(&mut self, request: &Request) -> u32 {
+        match self.free.pop() {
+            Some(row) => {
+                self.requests[row as usize] = *request;
+                self.flights[row as usize] = FlightMeta::EMPTY;
+                row
+            }
+            None => {
+                self.requests.push(*request);
+                self.flights.push(FlightMeta::EMPTY);
+                (self.requests.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Frees `row` once its request has completed or failed, taking it out
+    /// of the live index if it was dispatched.
+    fn close(&mut self, row: u32) {
+        let meta = &mut self.flights[row as usize];
+        debug_assert_eq!(meta.shard_count, 0, "a freed row has shards in flight");
+        if std::mem::replace(&mut meta.live, false) {
+            self.remove_live(row);
+        }
+        self.free.push(row);
     }
 
     fn insert_live(&mut self, fi: u32) {
@@ -2660,6 +2722,29 @@ mod tests {
             ..traffic(1)
         };
         let _ = run(idle, 6);
+    }
+
+    #[test]
+    fn check_trace_judges_ids_that_are_not_positions() {
+        // Generated traces number requests by position and skip the
+        // uniqueness scan; any other numbering must still be judged.
+        let renumbered = |ids: &[u64]| {
+            let mut requests = traffic(1).requests(ids.len());
+            for (r, &id) in requests.iter_mut().zip(ids) {
+                r.id = id;
+            }
+            check_trace(&requests)
+        };
+        assert_eq!(renumbered(&[0, 1, 2]), Ok(()));
+        assert_eq!(renumbered(&[2, 0, 1]), Ok(()), "out of order");
+        assert_eq!(renumbered(&[7, 3, 1_000]), Ok(()), "sparse");
+        for duplicate in [&[0, 1, 1][..], &[5, 9, 5]] {
+            let err = renumbered(duplicate).expect_err("duplicate ids");
+            assert!(
+                err.contains("request ids must be unique"),
+                "{duplicate:?}: {err}"
+            );
+        }
     }
 
     /// The panic message a run dies with.

@@ -300,9 +300,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// its JSON reports. At these seeds an evicted shard's stale completion
 /// timer is delivered after its request has finished, so a kernel that
 /// recycles per-request state hands the timer to another request's row;
-/// the reports must not move. At seed 179 the stale timer's shard id also
-/// names a shard of the row's new request that is still running, so only
-/// the request id tells the two apart.
+/// the reports must not move. Only seed 179 checks the request-id guard:
+/// there the stale timer's shard id also names a shard of the row's new
+/// request that is still running, so only the request id tells the two
+/// apart. At seeds 1, 11 and 14 no running shard shares the stale id, so a
+/// kernel without the guard gives the same bytes; they are general
+/// regression pins of the storm's reports (the four runs take ~0.05 s in
+/// a debug build).
 #[test]
 fn storm_reports_survive_stale_timers_on_recycled_rows() {
     for (seed, digest) in [
