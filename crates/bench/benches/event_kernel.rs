@@ -2,11 +2,11 @@
 //! structures: the time-ordered [`EventQueue`] (a binary heap of
 //! simulation events) and the rank-ordered [`PriorityQueue`] (the
 //! waiting line, per-class lanes ordered by id, plus the work index
-//! shortest-job-first dispatch picks from). The million-request
-//! kernel spends most of its cycles pushing and popping these, so their
-//! scaling from 10³ to 10⁶ entries is worth watching on its own —
-//! a regression here shows up multiplied by two events per request in
-//! `BENCH_kernel.json`'s headline cell.
+//! shortest-job-first dispatch picks from). A long run spends most of
+//! its cycles pushing and popping these, so their scaling from 10³ to
+//! 10⁶ entries is worth watching on its own — a regression here shows
+//! up multiplied by two events per request in `perfbench`'s
+//! `steady-long` wall time.
 //!
 //! Populations are drawn from the same seeded production-mix traffic the
 //! sweeps use, so class mix and id distribution match what the kernel

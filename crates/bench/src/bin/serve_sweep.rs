@@ -1,6 +1,7 @@
 //! Fleet-serving sweep: request streams through SWAT fleets under every
 //! (scenario × arrival process × dispatch policy) combination, emitting
-//! `BENCH_serve.json`.
+//! `BENCH_serve.json` (what each run served) and `BENCH_kernel.json`
+//! (the kernel work each run took: its [`KernelCounters`]).
 //!
 //! Every sweep cell is a declarative [`ScenarioSpec`] value — fleet
 //! shape, arrivals, traffic, policy, and controller knobs as plain data
@@ -59,8 +60,8 @@
 //! JSON byte is assembled sequentially after the pool joins: output is
 //! bitwise identical for a fixed `seed` regardless of `--jobs`.
 //! Per-scenario timing and kernel events/sec go to **stderr** only, so
-//! the tables on stdout and the JSON artifact stay byte-identical run to
-//! run.
+//! the tables on stdout and both JSON artifacts stay byte-identical run
+//! to run.
 //!
 //! ```text
 //! cargo run --release -p swat-bench --bin serve_sweep \
@@ -81,6 +82,7 @@ use swat_serve::scenario::{
     TrafficModel,
 };
 use swat_serve::sim::{AdmissionControl, DecodeBatching};
+use swat_serve::trace::KernelCounters;
 use swat_workloads::{DecodeMix, RequestClass, RequestMix, SessionProfile};
 
 /// Default requests per sweep cell.
@@ -624,6 +626,26 @@ fn annotated_run(
     }
 }
 
+/// One run's kernel counters, named by the keys that name its twin in
+/// `BENCH_serve.json`.
+fn kernel_run(
+    report: &ServeReport,
+    counters: &KernelCounters,
+    admission: &str,
+    elastic: &str,
+) -> Json {
+    let mut pairs = vec![
+        ("policy".to_string(), Json::Str(report.policy.clone())),
+        ("arrivals".to_string(), Json::Str(report.arrivals.clone())),
+        ("admission".to_string(), Json::Str(admission.into())),
+        ("elastic".to_string(), Json::Str(elastic.into())),
+    ];
+    if let Json::Obj(fields) = counters.to_json() {
+        pairs.extend(fields);
+    }
+    Json::Obj(pairs)
+}
+
 /// Formats an optional seconds value as milliseconds for the tables; a
 /// fully-shed cell has no latency distribution and shows "-".
 fn ms(value: Option<f64>) -> String {
@@ -731,17 +753,15 @@ fn main() {
     // Cell indices are contiguous per scenario, so phase 3 can assemble
     // rows, extra tables, and JSON in exactly the order the sequential
     // sweep used — the executed order (phase 2) is unobservable.
-    let mut cells: Vec<Cell<(ServeReport, u64)>> = Vec::new();
+    let mut cells: Vec<Cell<(ServeReport, KernelCounters)>> = Vec::new();
     let mut ranges = Vec::new();
     for def in &defs {
         let start = cells.len();
         for cell in &def.cells {
             let spec = cell.spec.clone();
             cells.push(Box::new(move || {
-                let (report, counters) = spec
-                    .run_profiled()
-                    .expect("sweep catalogue specs are valid");
-                (report, counters.events_total())
+                spec.run_profiled()
+                    .expect("sweep catalogue specs are valid")
             }));
         }
         ranges.push(start..cells.len());
@@ -755,6 +775,7 @@ fn main() {
     // sweep's order.
     let mut rows = Vec::new();
     let mut scenarios = Vec::new();
+    let mut kernel_scenarios = Vec::new();
     let mut fanout_rows = Vec::new();
     let mut width_rows = Vec::new();
     let mut tradeoff_rows = Vec::new();
@@ -765,8 +786,9 @@ fn main() {
 
     for (def, range) in defs.iter().zip(&ranges) {
         let mut runs = Vec::new();
+        let mut kernel_runs = Vec::new();
         for (cell, out) in def.cells.iter().zip(&outs[range.clone()]) {
-            let report = &out.value.0;
+            let (report, counters) = &out.value;
             rows.push(summary_row(&cell.row, report));
             runs.push(annotated_run(
                 report,
@@ -774,6 +796,7 @@ fn main() {
                 &cell.admission,
                 &cell.elastic,
             ));
+            kernel_runs.push(kernel_run(report, counters, &cell.admission, &cell.elastic));
             match def.table {
                 ExtraTable::None => {}
                 ExtraTable::Fanout => fanout_rows.push(vec![
@@ -879,7 +902,10 @@ fn main() {
                 }
             }
         }
-        let events = outs[range.clone()].iter().map(|o| o.value.1).sum::<u64>();
+        let events = outs[range.clone()]
+            .iter()
+            .map(|o| o.value.1.events_total())
+            .sum::<u64>();
         let wall = outs[range.clone()].iter().map(|o| o.wall_s).sum::<f64>();
         scenario_timing(def.name, runs.len(), events, wall);
         let mut pairs = vec![
@@ -889,6 +915,10 @@ fn main() {
         pairs.extend(def.extras.iter().cloned());
         pairs.push(("runs", Json::Arr(runs)));
         scenarios.push(Json::obj(pairs));
+        kernel_scenarios.push(Json::obj([
+            ("scenario", Json::Str(def.name.into())),
+            ("runs", Json::Arr(kernel_runs)),
+        ]));
     }
 
     print_table(
@@ -1011,15 +1041,23 @@ fn main() {
         );
     }
 
-    let doc = Json::obj([
+    let serve = Json::obj([
         ("bench", Json::Str("serve_sweep".into())),
         ("seed", Json::UInt(seed)),
         ("requests_per_run", Json::Int(requests as i64)),
         ("mix", Json::Str(RequestMix::Production.name().into())),
         ("scenarios", Json::Arr(scenarios)),
     ]);
+    let kernel = Json::obj([
+        ("bench", Json::Str("serve_sweep".into())),
+        ("seed", Json::UInt(seed)),
+        ("requests_per_run", Json::Int(requests as i64)),
+        ("scenarios", Json::Arr(kernel_scenarios)),
+    ]);
 
-    let path = "BENCH_serve.json";
-    std::fs::write(path, doc.pretty()).expect("write BENCH_serve.json");
-    println!("\nwrote {path}");
+    println!();
+    for (path, doc) in [("BENCH_serve.json", serve), ("BENCH_kernel.json", kernel)] {
+        std::fs::write(path, doc.pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("wrote {path}");
+    }
 }

@@ -19,9 +19,8 @@
 //! | `precision` | extension — binary16 vs Q-format fixed point |
 //! | `accuracy_proxy` | extension — trained ridge-readout accuracy per pattern |
 //! | `gantt`   | ASCII pipeline-occupancy view of the Table 1 schedule |
-//! | `serve_sweep` | extension — multi-card request-serving sweep over declarative scenario specs, emits `BENCH_serve.json` |
+//! | `serve_sweep` | extension — multi-card request-serving sweep over declarative scenario specs, emits `BENCH_serve.json` and each cell's kernel counters as `BENCH_kernel.json` |
 //! | `capacity_plan` | extension — deterministic capacity-planning autotuner (cost-model-pruned search, Pareto frontier), emits `BENCH_plan.json` |
-//! | `kernel_profile` | extension — event-kernel self-profiling (events by kind, peaks, events/sec), emits `BENCH_kernel.json` |
 //!
 //! Criterion micro-benchmarks of the actual kernels live in `benches/`.
 

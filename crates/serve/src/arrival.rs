@@ -22,6 +22,18 @@
 
 use swat_numeric::SplitMix64;
 
+/// The fewest arrivals a bursty process may expect per burst/gap cycle
+/// (`base_rate·mean_gap_s + burst_rate·mean_burst_s`). The generator
+/// spends about four draws per cycle whether or not the cycle holds an
+/// arrival, so this bounds its draws per arrival at a few thousand.
+const MIN_BURSTY_ARRIVALS_PER_CYCLE: f64 = 1e-3;
+
+/// The largest flash-crowd `peak_rate / base_rate`. The generator thins
+/// against the peak, so once the crowd has decayed it accepts about
+/// `base_rate / peak_rate` of its draws; this bounds that at one in a
+/// thousand.
+const MAX_FLASH_CROWD_PEAK_RATIO: f64 = 1e3;
+
 /// A stochastic arrival process over continuous time.
 ///
 /// # Examples
@@ -163,7 +175,11 @@ impl ArrivalProcess {
 
     /// Checks the parameters are usable: every rate and duration positive
     /// and finite (a flash crowd's onset may be zero), and a peak rate no
-    /// lower than its base.
+    /// lower than its base. Two more rules bound the generator's work
+    /// per arrival, so that every valid process returns: a bursty
+    /// process must expect at least 10⁻³ arrivals per burst/gap cycle
+    /// (`base_rate·mean_gap_s + burst_rate·mean_burst_s`), and a flash
+    /// crowd's peak rate may be at most 10³ times its base.
     ///
     /// # Errors
     ///
@@ -191,7 +207,15 @@ impl ArrivalProcess {
                 positive("base_rate", base_rate)?;
                 positive("burst_rate", burst_rate)?;
                 positive("mean_burst_s", mean_burst_s)?;
-                return positive("mean_gap_s", mean_gap_s);
+                positive("mean_gap_s", mean_gap_s)?;
+                let per_cycle = base_rate * mean_gap_s + burst_rate * mean_burst_s;
+                if per_cycle < MIN_BURSTY_ARRIVALS_PER_CYCLE {
+                    return Err(format!(
+                        "arrivals bursty cycle must expect at least {MIN_BURSTY_ARRIVALS_PER_CYCLE} \
+                         arrivals (base_rate·mean_gap_s + burst_rate·mean_burst_s), got {per_cycle}"
+                    ));
+                }
+                return Ok(());
             }
             ArrivalProcess::Diurnal {
                 base_rate,
@@ -215,6 +239,12 @@ impl ArrivalProcess {
                 if !(onset_s.is_finite() && onset_s >= 0.0) {
                     return Err(format!(
                         "arrivals onset_s must be non-negative and finite, got {onset_s}"
+                    ));
+                }
+                if peak_rate > MAX_FLASH_CROWD_PEAK_RATIO * base_rate {
+                    return Err(format!(
+                        "arrivals flash-crowd peak_rate must be at most {MAX_FLASH_CROWD_PEAK_RATIO} \
+                         × base_rate, got peak_rate {peak_rate} and base_rate {base_rate}"
                     ));
                 }
                 (base_rate, peak_rate)

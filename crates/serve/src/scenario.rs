@@ -535,7 +535,8 @@ impl ScenarioSpec {
     }
 
     /// [`run`](ScenarioSpec::run), plus the kernel's self-profiling
-    /// counters (for events/sec accounting in sweeps and planners).
+    /// counters: `serve_sweep` writes each cell's to `BENCH_kernel.json`,
+    /// and the sweep and the planner turn them into stderr events/sec.
     ///
     /// # Errors
     ///

@@ -428,11 +428,6 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// The configured telemetry mode.
-    pub fn telemetry_mode(&self) -> TelemetryMode {
-        self.telemetry
-    }
-
     /// Sets how decode remnants re-enter the fleet at step boundaries
     /// (default [`DecodeBatching::Continuous`]). A no-op for one-shot
     /// traffic: both modes are bitwise identical when no request owes a
@@ -484,9 +479,9 @@ impl<'a> Simulation<'a> {
     /// Like [`Simulation::run`], additionally returning the kernel's
     /// self-profiling [`KernelCounters`] — event counts by kind,
     /// tombstones, peak heap/queue sizes. The counters are sim-domain and
-    /// deterministic; divide [`KernelCounters::events_total`] by a
-    /// wall-clock measurement of this call to get events/sec (what
-    /// `kernel_profile` writes to `BENCH_kernel.json`).
+    /// deterministic (`serve_sweep` writes each cell's to
+    /// `BENCH_kernel.json`); divide [`KernelCounters::events_total`] by a
+    /// wall-clock measurement of this call to get events/sec.
     ///
     /// # Panics
     ///

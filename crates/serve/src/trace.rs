@@ -42,10 +42,10 @@
 //!
 //! The kernel also maintains [`KernelCounters`] on every run — event
 //! counts by kind, tombstoned completions, peak heap/queue sizes — cheap
-//! enough to be unconditional. Wall-clock rates live *outside* sim time:
-//! `swat-bench`'s `kernel_profile` bin times runs and divides by
-//! [`KernelCounters::events_total`] to get events/sec for
-//! `BENCH_kernel.json`.
+//! enough to be unconditional. `swat-bench`'s `serve_sweep` writes each
+//! sweep cell's counters to `BENCH_kernel.json`. Wall-clock rates live
+//! *outside* sim time and outside that file: the sweep prints
+//! events/sec to stderr, and `perfbench` times the kernel at scale.
 
 use std::collections::BTreeMap;
 
@@ -76,16 +76,6 @@ pub enum TelemetryMode {
     /// exact value; `max` and every count are exact, and `mean` differs
     /// only by summation order.
     Streaming,
-}
-
-impl TelemetryMode {
-    /// Stable lowercase label (`"exact"` / `"streaming"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TelemetryMode::Exact => "exact",
-            TelemetryMode::Streaming => "streaming",
-        }
-    }
 }
 
 /// One gauge sample, taken after each event batch settles (post-dispatch,
@@ -906,7 +896,7 @@ impl TraceSink for ChromeTraceSink {
 /// The kernel's self-profiling counters, maintained on every run (they
 /// cost a few integer increments per event, so they are unconditional).
 /// Everything here is sim-domain and deterministic; wall-clock rates are
-/// the *caller's* to measure — see `kernel_profile` in `swat-bench`.
+/// the *caller's* to measure.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelCounters {
     /// Events delivered, indexed by [`Event::kind_index`] (names in
@@ -1301,7 +1291,5 @@ mod tests {
     #[test]
     fn telemetry_mode_defaults_to_exact() {
         assert_eq!(TelemetryMode::default(), TelemetryMode::Exact);
-        assert_eq!(TelemetryMode::Exact.name(), "exact");
-        assert_eq!(TelemetryMode::Streaming.name(), "streaming");
     }
 }

@@ -735,12 +735,12 @@ proptest! {
 
     /// Streaming telemetry never changes the schedule: completion,
     /// rejection, failure, preemption, scaling, energy and makespan are
-    /// bitwise identical to the exact-mode run, and so is every class
-    /// row's and the decode block's accounting — only the latency
-    /// percentiles are estimated, and every one of them (overall, per
-    /// class and in the decode block) stays within the histogram's
-    /// documented bound of exact mode's. Faults range over none, a
-    /// seeded storm (every death there is later revived) and a
+    /// bitwise identical to the exact-mode run, and so are the kernel's
+    /// counters, every class row's and the decode block's accounting —
+    /// only the latency percentiles are estimated, and every one of them
+    /// (overall, per class and in the decode block) stays within the
+    /// histogram's documented bound of exact mode's. Faults range over
+    /// none, a seeded storm (every death there is later revived) and a
     /// fleet-wide death mid-trace, which strands the queue as `failed`;
     /// traffic over one-shot requests and 2–4-step decode plans with and
     /// without early exit.
@@ -774,10 +774,11 @@ proptest! {
             Simulation::new(&fleet)
                 .faults(plan.clone())
                 .telemetry(mode)
-                .run(&mut *policy, &requests)
+                .run_profiled(&mut *policy, &requests)
         };
-        let exact = run(TelemetryMode::Exact);
-        let streaming = run(TelemetryMode::Streaming);
+        let (exact, exact_counters) = run(TelemetryMode::Exact);
+        let (streaming, streaming_counters) = run(TelemetryMode::Streaming);
+        prop_assert_eq!(exact_counters, streaming_counters);
         prop_assert_eq!(exact.offered, streaming.offered);
         prop_assert_eq!(exact.completed, streaming.completed);
         prop_assert_eq!(exact.rejected, streaming.rejected);

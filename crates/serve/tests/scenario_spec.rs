@@ -809,6 +809,38 @@ fn an_overflowing_diurnal_clock_ends_the_trace_instead_of_hanging() {
 }
 
 #[test]
+fn arrival_processes_that_would_never_return_are_rejected() {
+    // `bursty(1e-307)` flips phases ~10³⁰⁰ times per arrival, and once a
+    // 10⁷× flash crowd decays its thinning keeps one draw in 10⁷: both
+    // fail `validate()` before a generator runs. A worker thread lets a
+    // hang fail this test alone.
+    for (arrivals, rule) in [
+        (ArrivalProcess::bursty(1e-307), "bursty cycle must expect"),
+        (
+            ArrivalProcess::flash_crowd(1e-6, 10.0, 0.0, 1.0),
+            "peak_rate must be at most",
+        ),
+    ] {
+        let (done, result) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let spec = ScenarioSpec {
+                arrivals,
+                requests: 50,
+                ..ScenarioSpec::default()
+            };
+            let _ = done.send((arrivals.validate(), spec.run().map(|report| report.offered)));
+        });
+        let (validated, run) = result
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("{arrivals:?} returns within 5 s"));
+        worker.join().expect("the worker finishes once it has sent");
+        let err = validated.expect_err("the process breaks an arrival rule");
+        assert!(err.contains(rule), "{err}");
+        assert_eq!(run.expect_err("the spec is invalid"), err);
+    }
+}
+
+#[test]
 fn docs_name_every_key_and_value_of_the_spec_format() {
     // Every key and named value the writer emits (a spec's free-form
     // `name` aside) appears as a whole word in the docs' field table.
