@@ -16,6 +16,21 @@
 //! The kernel is generic over [`Scalar`], so running it with
 //! [`swat_numeric::F16`] reproduces the FPGA's binary16 datapath
 //! rounding-for-rounding.
+//!
+//! Each query row runs in the hardware's stage order:
+//!
+//! - **LOAD** streams the K/V rows the window newly covers into the FIFO;
+//! - **QK** computes every target's score and its exponential, four
+//!   targets at a time so that four dot products are in flight at once;
+//! - **SV** accumulates `z` and ROWSUM over the targets in ascending order;
+//! - **DIV** divides `z` by ROWSUM.
+//!
+//! Running a row stage by stage, rather than one target at a time through
+//! all of them, and interleaving four dot products, reorder only
+//! operations on different accumulators. Each score is still its own
+//! left-to-right chain rounded after every operation, and each column of
+//! `z` and ROWSUM add the same terms in the same order, so every output
+//! bit is the same either way.
 
 use crate::counters::OpCounts;
 use crate::pattern::SparsityPattern;
@@ -33,6 +48,8 @@ type KvSlot<T> = Option<(usize, Vec<T>, Vec<T>)>;
 pub struct KvFifo<T> {
     capacity: usize,
     slots: Vec<KvSlot<T>>,
+    /// Slots filled so far; a slot, once filled, stays filled.
+    occupied: usize,
     loads: u64,
     evictions: u64,
 }
@@ -48,6 +65,7 @@ impl<T: Scalar> KvFifo<T> {
         KvFifo {
             capacity,
             slots: vec![None; capacity],
+            occupied: 0,
             loads: 0,
             evictions: 0,
         }
@@ -73,11 +91,13 @@ impl<T: Scalar> KvFifo<T> {
     pub fn load(&mut self, j: usize, k_row: &[T], v_row: &[T]) -> Option<usize> {
         let slot = j % self.capacity;
         self.loads += 1;
-        let evicted = self.slots[slot].take().map(|(pos, _, _)| pos);
-        if evicted.is_some() {
-            self.evictions += 1;
+        let evicted = self.slots[slot]
+            .replace((j, k_row.to_vec(), v_row.to_vec()))
+            .map(|(pos, _, _)| pos);
+        match evicted {
+            Some(_) => self.evictions += 1,
+            None => self.occupied += 1,
         }
-        self.slots[slot] = Some((j, k_row.to_vec(), v_row.to_vec()));
         evicted
     }
 
@@ -96,7 +116,7 @@ impl<T: Scalar> KvFifo<T> {
 
     /// Current number of occupied slots.
     pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.occupied
     }
 }
 
@@ -204,88 +224,113 @@ pub fn fused_pattern_attention_in<T: Scalar>(
     let mut counts = OpCounts::new();
     let mut out = Matrix::<f32>::zeros(n, hv);
     let elem = T::BYTES as u64;
+    let row_bytes = h as u64 * elem;
 
     // Window FIFO sized 2w (or a single slot when no window component).
-    let fifo_cap = pattern.window_half_width().map_or(1, |w| 2 * w);
-    let mut fifo = KvFifo::<T>::new(fifo_cap);
+    let window = pattern.window_half_width();
+    let mut fifo = KvFifo::<T>::new(window.map_or(1, |w| 2 * w));
+    // Positions `[0, loaded)` have streamed into the FIFO.
+    let mut loaded = 0usize;
     let mut peak_occupancy = 0usize;
     let mut kv_reloads = 0u64;
 
     // Global cores: pre-loaded K/V rows, fixed for the whole run.
-    let globals = pattern.globals().to_vec();
-    counts.record_read(globals.len() as u64 * 2 * h as u64 * elem);
+    let globals = pattern.globals();
+    counts.record_read(globals.len() as u64 * 2 * row_bytes);
+
+    // One row's targets, their exponentiated scores, and its `z`: sized
+    // for a dense row once and reused from row to row.
+    let mut targets = Vec::with_capacity(n);
+    let mut scores = Vec::with_capacity(n);
+    let mut z = vec![T::ZERO; hv];
 
     for i in 0..n {
         // --- LOAD stage ---------------------------------------------------
-        if let Some(w) = pattern.window_half_width() {
-            let lo = i.saturating_sub(w);
+        // Windows only slide forward and the FIFO's 2w slots hold a whole
+        // window, so the rows this window lacks are exactly the new ones.
+        if let Some(w) = window {
             let hi = (i + w).min(n);
-            for j in lo..hi {
-                if !fifo.contains(j) {
-                    fifo.load(j, kt.row(j), vt.row(j));
-                    counts.record_read(2 * h as u64 * elem);
-                }
+            for j in loaded..hi {
+                fifo.load(j, kt.row(j), vt.row(j));
             }
+            counts.record_read((hi - loaded) as u64 * 2 * row_bytes);
+            loaded = hi;
             peak_occupancy = peak_occupancy.max(fifo.occupancy());
         }
-        counts.record_read(h as u64 * elem); // the Q row itself
+        counts.record_read(row_bytes); // the Q row itself
 
-        // --- fused QK -> exp -> SV with deferred division ------------------
-        let is_global_row = globals.binary_search(&i).is_ok();
-        let qi = qt.row(i);
-        let mut z = vec![T::ZERO; hv];
-        let mut row_sum = T::ZERO;
+        // Global rows attend everything, in a dense pass as Longformer
+        // handles them outside the windowed kernel.
+        let global_row = globals.binary_search(&i).is_ok();
+        let dense_row = global_row || pattern.is_dense();
+        pattern.row_targets_into(i, &mut targets);
 
-        let attend =
-            |j: usize, kj: &[T], vj: &[T], counts: &mut OpCounts, z: &mut [T], row_sum: &mut T| {
-                debug_assert_eq!(kj.len(), h);
-                // QK stage: dot product with per-op rounding in T.
-                let mut s = T::ZERO;
-                for (a, b) in qi.iter().zip(kj) {
-                    s = s.add(a.mul(*b));
+        // --- QK stage: score and exponential for every target -------------
+        let qi = &qt.row(i)[..h];
+        let mut row_reloads = 0u64;
+        let mut k_row = |j: usize| match fifo.get(j) {
+            // Window core: K/V resident in the FIFO.
+            Some((kj, _)) => &kj[..h],
+            None => {
+                // A global core was pre-loaded; a random core reloads
+                // its K/V row for this query row.
+                if !dense_row && globals.binary_search(&j).is_err() {
+                    row_reloads += 1;
                 }
-                counts.record_macs(h as u64);
-                let s = s.mul(scale_t);
-                // SV stage: exponential and multiply with the co-resident V row.
-                let e = s.exp();
-                counts.record_unary(1);
-                for (zi, vi) in z.iter_mut().zip(vj) {
-                    *zi = zi.add(e.mul(*vi));
-                }
-                counts.record_macs(hv as u64);
-                // ROWSUM.
-                *row_sum = row_sum.add(e);
-                counts.record_unary(1);
-                let _ = j;
-            };
-
-        if is_global_row || pattern.is_dense() {
-            // Dense pass for this row (global rows attend everything).
-            for j in 0..n {
-                attend(j, kt.row(j), vt.row(j), &mut counts, &mut z, &mut row_sum);
+                &kt.row(j)[..h]
             }
-            if is_global_row {
-                // These K/V rows stream from memory again for this row.
-                kv_reloads += n as u64;
-                counts.record_read(2 * (n * h) as u64 * elem);
+        };
+        scores.clear();
+        // Four independent chains per pass, so the CPU overlaps them.
+        let mut quads = targets.chunks_exact(4);
+        for quad in &mut quads {
+            let ks = [
+                k_row(quad[0]),
+                k_row(quad[1]),
+                k_row(quad[2]),
+                k_row(quad[3]),
+            ];
+            let mut s = [T::ZERO; 4];
+            for (c, &a) in qi.iter().enumerate() {
+                s[0] = s[0].add(a.mul(ks[0][c]));
+                s[1] = s[1].add(a.mul(ks[1][c]));
+                s[2] = s[2].add(a.mul(ks[2][c]));
+                s[3] = s[3].add(a.mul(ks[3][c]));
             }
-        } else {
-            for j in pattern.row_targets(i) {
-                if let Some((kj, vj)) = fifo.get(j) {
-                    // Window core: K/V resident in the FIFO.
-                    let (kj, vj) = (kj.to_vec(), vj.to_vec());
-                    attend(j, &kj, &vj, &mut counts, &mut z, &mut row_sum);
-                } else if globals.binary_search(&j).is_ok() {
-                    // Global core: pre-loaded, no traffic.
-                    attend(j, kt.row(j), vt.row(j), &mut counts, &mut z, &mut row_sum);
-                } else {
-                    // Random core: reload K/V for this row.
-                    kv_reloads += 1;
-                    counts.record_read(2 * h as u64 * elem);
-                    attend(j, kt.row(j), vt.row(j), &mut counts, &mut z, &mut row_sum);
-                }
-            }
+            scores.extend(s.map(|s| s.mul(scale_t).exp()));
         }
+        for &j in quads.remainder() {
+            let kj = k_row(j);
+            let mut s = T::ZERO;
+            for (a, b) in qi.iter().zip(kj) {
+                s = s.add(a.mul(*b));
+            }
+            scores.push(s.mul(scale_t).exp());
+        }
+        if global_row {
+            // Every K/V row streams from memory again for this row.
+            row_reloads = n as u64;
+        }
+        kv_reloads += row_reloads;
+        counts.record_read(row_reloads * 2 * row_bytes);
+
+        // --- SV stage: z and ROWSUM in ascending target order --------------
+        z.fill(T::ZERO);
+        let mut row_sum = T::ZERO;
+        for (&j, &e) in targets.iter().zip(&scores) {
+            let vj = match fifo.get(j) {
+                Some((_, vj)) => vj,
+                None => vt.row(j),
+            };
+            for (zi, vi) in z.iter_mut().zip(vj) {
+                *zi = zi.add(e.mul(*vi));
+            }
+            row_sum = row_sum.add(e);
+        }
+        // Per target: h + hv MACs, one exponential, one ROWSUM add.
+        let attended = targets.len() as u64;
+        counts.record_macs(attended * (h + hv) as u64);
+        counts.record_unary(2 * attended);
 
         // --- DIV & OUT stage ----------------------------------------------
         let out_row = out.row_mut(i);

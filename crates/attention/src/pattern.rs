@@ -289,25 +289,36 @@ impl SparsityPattern {
     ///
     /// Panics if `i` is out of range.
     pub fn row_targets(&self, i: usize) -> Vec<usize> {
-        assert!(i < self.seq_len, "row out of range");
-        if self.dense || self.globals.binary_search(&i).is_ok() {
-            return (0..self.seq_len).collect();
-        }
         let mut targets = Vec::new();
+        self.row_targets_into(i, &mut targets);
+        targets
+    }
+
+    /// Writes [`row_targets`](Self::row_targets)`(i)` into `targets`,
+    /// replacing its contents, so a caller that visits every row can reuse
+    /// one buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn row_targets_into(&self, i: usize, targets: &mut Vec<usize>) {
+        assert!(i < self.seq_len, "row out of range");
+        targets.clear();
+        if self.dense || self.globals.binary_search(&i).is_ok() {
+            targets.extend(0..self.seq_len);
+            return;
+        }
         if let Some(w) = self.window {
             let lo = i.saturating_sub(w);
             let hi = (i + w).min(self.seq_len); // exclusive; window is [i-w, i+w-1]
             targets.extend(lo..hi);
         }
-        for &g in &self.globals {
-            targets.push(g);
-        }
+        targets.extend_from_slice(&self.globals);
         if let Some(r) = self.random.get(i) {
             targets.extend_from_slice(r);
         }
         targets.sort_unstable();
         targets.dedup();
-        targets
     }
 
     /// Number of attended `(i, j)` pairs in the whole pattern.
@@ -466,6 +477,19 @@ mod tests {
             for j in 0..64 {
                 assert_eq!(p.attends(i, j), t.contains(&j), "({i},{j})");
             }
+        }
+    }
+
+    #[test]
+    fn row_targets_into_replaces_what_a_reused_buffer_held() {
+        // Dense global rows, window rows and random targets, visited in
+        // an order where each row follows a longer one.
+        let p = SparsityPattern::bigbird(48, 3, 2, 2, 5);
+        let mut buffer = vec![usize::MAX; 100];
+        for i in (0..48).rev().chain([1, 30, 0, 47]) {
+            p.row_targets_into(i, &mut buffer);
+            let attended: Vec<usize> = (0..48).filter(|&j| p.attends(i, j)).collect();
+            assert_eq!(buffer, attended, "row {i}");
         }
     }
 

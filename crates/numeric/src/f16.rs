@@ -5,13 +5,21 @@
 //! binary16 (round-to-nearest-even). We model that behaviour by computing in
 //! `f32` and rounding the result back to binary16 after every operation.
 //!
-//! For addition, subtraction and multiplication this is *exactly* equivalent
-//! to a correctly-rounded binary16 operation: the exact product/sum of two
-//! binary16 values is representable in binary32 (11-bit significands), so no
-//! double-rounding error can occur. Division and square root may in rare
-//! cases differ from a correctly-rounded binary16 operation by one ULP due to
-//! double rounding; the hardware divider in SWAT's DIV&OUT stage has the same
-//! property, so this is faithful enough for the simulator.
+//! For addition, subtraction, multiplication, division and square root this
+//! is *exactly* a correctly-rounded binary16 operation. The reason is not
+//! that the exact result fits in binary32: a product of two binary16 values
+//! does (22 significand bits), but a sum need not (2¹⁵ + 2⁻²⁴ needs 40
+//! bits), and a quotient or root rarely terminates at all. The reason is
+//! that binary32's 24-bit significand is wide enough: when `p′ ≥ 2p + 2`
+//! (here `24 ≥ 2·11 + 2`), rounding the correctly-rounded `p′`-bit result of
+//! +, −, ×, ÷ or √ to `p` bits gives the correctly-rounded `p`-bit result
+//! (S. A. Figueroa, "When is double rounding innocuous?", SIGNUM Newsletter,
+//! 1995). The exponential is computed by `f32::exp` and rounded once, so it
+//! inherits that function's error before the final rounding.
+//!
+//! The two conversions, [`f32_to_f16_bits`] and [`f16_bits_to_f32`], sit
+//! inside every binary16 operation, so they are inlined and take one
+//! well-predicted branch on finite values.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -78,6 +86,7 @@ impl F16 {
     ///
     /// Values with magnitude above 65504 (+half an ULP) become infinity;
     /// values below the subnormal range become (signed) zero.
+    #[inline]
     pub fn from_f32(value: f32) -> F16 {
         F16(f32_to_f16_bits(value))
     }
@@ -92,6 +101,7 @@ impl F16 {
     }
 
     /// Widens to `f32`. This conversion is exact.
+    #[inline]
     pub fn to_f32(self) -> f32 {
         f16_bits_to_f32(self.0)
     }
@@ -162,6 +172,7 @@ impl F16 {
 
     /// `e^self` rounded to binary16, computed in `f32`. Models the EXP unit
     /// in the SV stage.
+    #[inline]
     pub fn exp(self) -> F16 {
         F16::from_f32(self.to_f32().exp())
     }
@@ -318,94 +329,67 @@ impl core::iter::Sum for F16 {
     }
 }
 
+/// `f32` bits of 2⁻¹⁴, the smallest binary16 normal.
+const F16_MIN_NORMAL_AS_F32: u32 = 0x3880_0000;
+/// `f32` bits of 2¹⁶: magnitudes from here up round to binary16 infinity.
+const F16_OVERFLOW_AS_F32: u32 = 0x4780_0000;
+/// `f32` bits of +∞; any magnitude above it is a NaN.
+const F32_INFINITY: u32 = 0x7F80_0000;
+/// The exponent rebias from binary32 (127) to binary16 (15), in place.
+const REBIAS: u32 = (127 - 15) << 23;
+/// 2¹¹², the scale between binary16 bits read in binary32's layout and
+/// their value.
+const TWO_POW_112: f32 = f32::from_bits(REBIAS + (127 << 23));
+
 /// Converts an `f32` to binary16 bits with round-to-nearest-even.
+///
+/// NaNs stay NaN with the quiet bit set and the top ten bits of their
+/// payload kept.
+#[inline]
 pub fn f32_to_f16_bits(value: f32) -> u16 {
-    let x: u32 = value.to_bits();
-
-    let sign = x & 0x8000_0000;
-    let exp = x & 0x7F80_0000;
-    let man = x & 0x007F_FFFF;
-
-    // Infinity or NaN: all exponent bits set.
-    if exp == 0x7F80_0000 {
-        let nan_bit = if man == 0 { 0 } else { 0x0200 };
-        return ((sign >> 16) | 0x7C00 | nan_bit | (man >> 13)) as u16;
-    }
-
-    let half_sign = sign >> 16;
-    let unbiased_exp = ((exp >> 23) as i32) - 127;
-    let half_exp = unbiased_exp + 15;
-
-    // Overflow to infinity. Values at or above 2^16 - 2^4 (the midpoint
-    // between F16::MAX and the next binary16 step) also overflow; they land
-    // here because rounding the mantissa below carries into the exponent.
-    if half_exp >= 0x1F {
-        return (half_sign | 0x7C00) as u16;
-    }
-
-    if half_exp <= 0 {
-        // Result is subnormal or zero in binary16.
-        if 14 - half_exp > 24 {
-            // Magnitude below half the smallest subnormal: rounds to zero.
-            return half_sign as u16;
-        }
-        let man = man | 0x0080_0000; // restore the implicit leading bit
-        let shift = (14 - half_exp) as u32;
-        let mut half_man = man >> shift;
-        // Round to nearest even on the bits shifted out.
-        let round_bit = 1u32 << (shift - 1);
-        if (man & round_bit) != 0 && (man & (3 * round_bit - 1)) != 0 {
-            half_man += 1;
-        }
-        return (half_sign | half_man) as u16;
-    }
-
-    let half_exp = (half_exp as u32) << 10;
-    let half_man = man >> 13;
-    let round_bit = 0x0000_1000u32;
-    if (x & round_bit) != 0 && (x & (3 * round_bit - 1)) != 0 {
-        // Rounding up may carry the mantissa into the exponent; that is the
-        // correct behaviour (e.g. it turns the largest-mantissa exponent-30
-        // value into infinity).
-        ((half_sign | half_exp | half_man) + 1) as u16
+    let x = value.to_bits();
+    let sign = (x >> 16) as u16 & 0x8000;
+    let a = x & 0x7FFF_FFFF;
+    let magnitude = if a < F16_MIN_NORMAL_AS_F32 {
+        // Subnormal or zero in binary16. The ULP of 0.5 in `f32` is 2⁻²⁴,
+        // binary16's subnormal step, so the `f32` addition itself rounds
+        // the magnitude to a whole number of steps, ties to even; that
+        // number sits in the low bits of the sum.
+        ((f32::from_bits(a) + 0.5).to_bits() - 0.5f32.to_bits()) as u16
+    } else if a < F16_OVERFLOW_AS_F32 {
+        // Normal: rebias the exponent, then round the 13 dropped bits to
+        // nearest, ties to the even kept bit. A carry out of the mantissa
+        // moves into the exponent, which is right, up to infinity for
+        // magnitudes in [65520, 65536).
+        let odd = (a >> 13) & 1;
+        ((a - REBIAS + 0xFFF + odd) >> 13) as u16
+    } else if a <= F32_INFINITY {
+        // Overflow or infinity.
+        0x7C00
     } else {
-        (half_sign | half_exp | half_man) as u16
-    }
+        // NaN: the quiet bit set, the payload's top ten bits kept.
+        0x7E00 | ((a >> 13) & 0x03FF) as u16
+    };
+    sign | magnitude
 }
 
 /// Converts binary16 bits to an `f32`. This widening conversion is exact.
+///
+/// NaNs stay NaN with the quiet bit set and their payload kept.
+#[inline]
 pub fn f16_bits_to_f32(i: u16) -> f32 {
-    // Signed zero shortcut.
-    if i & 0x7FFF == 0 {
-        return f32::from_bits((i as u32) << 16);
+    let sign = u32::from(i & 0x8000) << 16;
+    let em = u32::from(i & 0x7FFF);
+    if em >= 0x7C00 {
+        // Infinity, or NaN with the quiet bit set.
+        let quiet = if em > 0x7C00 { 0x0040_0000 } else { 0 };
+        return f32::from_bits(sign | F32_INFINITY | quiet | ((em & 0x03FF) << 13));
     }
-
-    let half_sign = (i & 0x8000) as u32;
-    let half_exp = (i & 0x7C00) as u32;
-    let half_man = (i & 0x03FF) as u32;
-
-    if half_exp == 0x7C00 {
-        if half_man == 0 {
-            return f32::from_bits((half_sign << 16) | 0x7F80_0000);
-        }
-        // NaN: force the quiet bit, preserve payload.
-        return f32::from_bits((half_sign << 16) | 0x7FC0_0000 | (half_man << 13));
-    }
-
-    let sign = half_sign << 16;
-    let unbiased_exp = ((half_exp as i32) >> 10) - 15;
-
-    if half_exp == 0 {
-        // Subnormal: normalise by shifting the mantissa up.
-        let e = (half_man as u16).leading_zeros() - 6;
-        let exp = (127 - 15 - e) << 23;
-        let man = (half_man << (14 + e)) & 0x007F_FFFF;
-        return f32::from_bits(sign | exp | man);
-    }
-
-    let exp = ((unbiased_exp + 127) as u32) << 23;
-    let man = half_man << 13;
-    f32::from_bits(sign | exp | man)
+    // Read as `f32` bits, `em << 13` has binary16's exponent field in
+    // binary32's place: a normal comes out 2¹¹² too small, and a subnormal
+    // or zero lands on the `f32` subnormal (or zero) that is 2¹¹² too small
+    // too. One exact multiplication rescales all three.
+    f32::from_bits(sign | (em << 13)) * TWO_POW_112
 }
 
 #[cfg(test)]
@@ -564,6 +548,201 @@ mod tests {
         let xs = [F16::ONE; 10];
         let s: F16 = xs.iter().copied().sum();
         assert_eq!(s.to_f32(), 10.0);
+    }
+
+    /// The narrowing conversion as first written, one branch per case:
+    /// the reference the branch-light [`f32_to_f16_bits`] is held to.
+    fn reference_f32_to_f16_bits(value: f32) -> u16 {
+        let x: u32 = value.to_bits();
+
+        let sign = x & 0x8000_0000;
+        let exp = x & 0x7F80_0000;
+        let man = x & 0x007F_FFFF;
+
+        // Infinity or NaN: all exponent bits set.
+        if exp == 0x7F80_0000 {
+            let nan_bit = if man == 0 { 0 } else { 0x0200 };
+            return ((sign >> 16) | 0x7C00 | nan_bit | (man >> 13)) as u16;
+        }
+
+        let half_sign = sign >> 16;
+        let unbiased_exp = ((exp >> 23) as i32) - 127;
+        let half_exp = unbiased_exp + 15;
+
+        // Overflow to infinity. Values at or above 2^16 - 2^4 (the midpoint
+        // between F16::MAX and the next binary16 step) also overflow; they
+        // land here because rounding the mantissa below carries into the
+        // exponent.
+        if half_exp >= 0x1F {
+            return (half_sign | 0x7C00) as u16;
+        }
+
+        if half_exp <= 0 {
+            // Result is subnormal or zero in binary16.
+            if 14 - half_exp > 24 {
+                // Magnitude below half the smallest subnormal: rounds to zero.
+                return half_sign as u16;
+            }
+            let man = man | 0x0080_0000; // restore the implicit leading bit
+            let shift = (14 - half_exp) as u32;
+            let mut half_man = man >> shift;
+            // Round to nearest even on the bits shifted out.
+            let round_bit = 1u32 << (shift - 1);
+            if (man & round_bit) != 0 && (man & (3 * round_bit - 1)) != 0 {
+                half_man += 1;
+            }
+            return (half_sign | half_man) as u16;
+        }
+
+        let half_exp = (half_exp as u32) << 10;
+        let half_man = man >> 13;
+        let round_bit = 0x0000_1000u32;
+        if (x & round_bit) != 0 && (x & (3 * round_bit - 1)) != 0 {
+            // Rounding up may carry the mantissa into the exponent; that is
+            // the correct behaviour (e.g. it turns the largest-mantissa
+            // exponent-30 value into infinity).
+            ((half_sign | half_exp | half_man) + 1) as u16
+        } else {
+            (half_sign | half_exp | half_man) as u16
+        }
+    }
+
+    /// The widening conversion as first written: the reference for
+    /// [`f16_bits_to_f32`].
+    fn reference_f16_bits_to_f32(i: u16) -> f32 {
+        // Signed zero shortcut.
+        if i & 0x7FFF == 0 {
+            return f32::from_bits((i as u32) << 16);
+        }
+
+        let half_sign = (i & 0x8000) as u32;
+        let half_exp = (i & 0x7C00) as u32;
+        let half_man = (i & 0x03FF) as u32;
+
+        if half_exp == 0x7C00 {
+            if half_man == 0 {
+                return f32::from_bits((half_sign << 16) | 0x7F80_0000);
+            }
+            // NaN: force the quiet bit, preserve payload.
+            return f32::from_bits((half_sign << 16) | 0x7FC0_0000 | (half_man << 13));
+        }
+
+        let sign = half_sign << 16;
+        let unbiased_exp = ((half_exp as i32) >> 10) - 15;
+
+        if half_exp == 0 {
+            // Subnormal: normalise by shifting the mantissa up.
+            let e = (half_man as u16).leading_zeros() - 6;
+            let exp = (127 - 15 - e) << 23;
+            let man = (half_man << (14 + e)) & 0x007F_FFFF;
+            return f32::from_bits(sign | exp | man);
+        }
+
+        let exp = ((unbiased_exp + 127) as u32) << 23;
+        let man = half_man << 13;
+        f32::from_bits(sign | exp | man)
+    }
+
+    /// Asserts that both narrowings give the same bits for the `f32` with
+    /// bit pattern `x`.
+    fn assert_narrows_like_the_reference(x: u32) {
+        let value = f32::from_bits(x);
+        assert_eq!(
+            f32_to_f16_bits(value),
+            reference_f32_to_f16_bits(value),
+            "f32 bits {x:#010x} ({value:e})"
+        );
+    }
+
+    #[test]
+    fn widening_matches_the_reference_on_every_binary16() {
+        for bits in 0..=u16::MAX {
+            assert_eq!(
+                f16_bits_to_f32(bits).to_bits(),
+                reference_f16_bits_to_f32(bits).to_bits(),
+                "binary16 bits {bits:#06x}"
+            );
+        }
+    }
+
+    #[test]
+    fn narrowing_matches_the_reference_on_ties_and_edges() {
+        // Every sign and exponent: its power of two, the largest mantissa
+        // below the next one (where rounding carries into the exponent),
+        // and mantissas on a tie of each rounding position (binary16's
+        // normal position and every subnormal shift) with one `f32` ULP
+        // either side, under odd and even kept bits.
+        const KEPT: [u32; 8] = [0, 1, 2, 3, 0x155, 0x2AA, 0x3FE, 0x3FF];
+        for sign in [0, 0x8000_0000u32] {
+            for exp in 0..=0xFFu32 {
+                let base = sign | (exp << 23);
+                assert_narrows_like_the_reference(base);
+                assert_narrows_like_the_reference(base | 0x007F_FFFF);
+                for shift in 1..=23u32 {
+                    let tie = 1u32 << (shift - 1);
+                    for kept in KEPT {
+                        let on_tie = ((kept << shift) | tie) & 0x007F_FFFF;
+                        for man in [on_tie - 1, on_tie, on_tie + 1] {
+                            assert_narrows_like_the_reference(base | man);
+                        }
+                    }
+                }
+            }
+        }
+        // Around the overflow threshold, the edges of the subnormal range
+        // (2⁻²⁵ rounds to zero, just above it to 2⁻²⁴) and the normal
+        // range, one `f32` ULP either side of each.
+        for edge in [
+            65504.0f32,
+            65519.99,
+            65520.0,
+            65536.0,
+            2.0f32.powi(-25),
+            2.0f32.powi(-24),
+            2.0f32.powi(-14),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+        ] {
+            let x = edge.to_bits();
+            for bits in [x - 1, x, x + 1] {
+                assert_narrows_like_the_reference(bits);
+                assert_narrows_like_the_reference(bits | 0x8000_0000);
+            }
+        }
+        // Signed zeros, infinities, and NaNs across their payloads, quiet
+        // and signalling, with payload bits above and below the kept ten.
+        for special in [0x0000_0000u32, 0x7F80_0000] {
+            assert_narrows_like_the_reference(special);
+            assert_narrows_like_the_reference(special | 0x8000_0000);
+        }
+        for payload in [
+            0x0000_0001u32,
+            0x0000_1FFF,
+            0x0000_2000,
+            0x0020_0000,
+            0x003F_FFFF,
+            0x0040_0000,
+            0x0040_0001,
+            0x0055_5555,
+            0x007F_E000,
+            0x007F_FFFF,
+        ] {
+            assert_narrows_like_the_reference(0x7F80_0000 | payload);
+            assert_narrows_like_the_reference(0xFF80_0000 | payload);
+        }
+    }
+
+    /// Every `f32` bit pattern: about 15 s in release. Run with `cargo test
+    /// --release -p swat-numeric -- --ignored`.
+    #[test]
+    #[ignore = "sweeps all 2^32 f32 bit patterns; run in release"]
+    fn narrowing_matches_the_reference_on_every_f32() {
+        for x in 0..=u32::MAX {
+            let value = f32::from_bits(x);
+            if f32_to_f16_bits(value) != reference_f32_to_f16_bits(value) {
+                assert_narrows_like_the_reference(x);
+            }
+        }
     }
 
     #[test]

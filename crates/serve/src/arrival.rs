@@ -28,11 +28,11 @@ use swat_numeric::SplitMix64;
 /// arrival, so this bounds its draws per arrival at a few thousand.
 const MIN_BURSTY_ARRIVALS_PER_CYCLE: f64 = 1e-3;
 
-/// The largest flash-crowd `peak_rate / base_rate`. The generator thins
-/// against the peak, so once the crowd has decayed it accepts about
-/// `base_rate / peak_rate` of its draws; this bounds that at one in a
-/// thousand.
-const MAX_FLASH_CROWD_PEAK_RATIO: f64 = 1e3;
+/// The largest `peak_rate / base_rate` of a diurnal ramp or a flash
+/// crowd. Both generators thin against the peak, and their rate never
+/// falls below the base, so they accept at least `base_rate / peak_rate`
+/// of their draws; this bounds that at one in a thousand.
+const MAX_PEAK_RATIO: f64 = 1e3;
 
 /// A stochastic arrival process over continuous time.
 ///
@@ -178,8 +178,8 @@ impl ArrivalProcess {
     /// lower than its base. Two more rules bound the generator's work
     /// per arrival, so that every valid process returns: a bursty
     /// process must expect at least 10⁻³ arrivals per burst/gap cycle
-    /// (`base_rate·mean_gap_s + burst_rate·mean_burst_s`), and a flash
-    /// crowd's peak rate may be at most 10³ times its base.
+    /// (`base_rate·mean_gap_s + burst_rate·mean_burst_s`), and a diurnal
+    /// or flash-crowd peak rate may be at most 10³ times its base.
     ///
     /// # Errors
     ///
@@ -241,15 +241,16 @@ impl ArrivalProcess {
                         "arrivals onset_s must be non-negative and finite, got {onset_s}"
                     ));
                 }
-                if peak_rate > MAX_FLASH_CROWD_PEAK_RATIO * base_rate {
-                    return Err(format!(
-                        "arrivals flash-crowd peak_rate must be at most {MAX_FLASH_CROWD_PEAK_RATIO} \
-                         × base_rate, got peak_rate {peak_rate} and base_rate {base_rate}"
-                    ));
-                }
                 (base_rate, peak_rate)
             }
         };
+        if peak_rate > MAX_PEAK_RATIO * base_rate {
+            return Err(format!(
+                "arrivals {} peak_rate must be at most {MAX_PEAK_RATIO} × base_rate, \
+                 got peak_rate {peak_rate} and base_rate {base_rate}",
+                self.name()
+            ));
+        }
         if peak_rate < base_rate {
             return Err(format!(
                 "arrivals peak rate must be >= base rate, got peak_rate {peak_rate} and base_rate {base_rate}"

@@ -810,15 +810,30 @@ fn an_overflowing_diurnal_clock_ends_the_trace_instead_of_hanging() {
 
 #[test]
 fn arrival_processes_that_would_never_return_are_rejected() {
-    // `bursty(1e-307)` flips phases ~10³⁰⁰ times per arrival, and once a
-    // 10⁷× flash crowd decays its thinning keeps one draw in 10⁷: both
-    // fail `validate()` before a generator runs. A worker thread lets a
-    // hang fail this test alone.
+    // `bursty(1e-307)` flips phases ~10³⁰⁰ times per arrival; once a 10⁷×
+    // flash crowd decays its thinning keeps one draw in 10⁷; and a diurnal
+    // ramp whose period dwarfs `1/peak_rate` starts at its trough, where
+    // thinning keeps about `base_rate/peak_rate` of its draws for a long
+    // stretch. All fail `validate()` before a generator runs. A worker
+    // thread lets a hang fail this test alone.
+    let diurnal = |base_rate, peak_rate, period_s| ArrivalProcess::Diurnal {
+        base_rate,
+        peak_rate,
+        period_s,
+    };
     for (arrivals, rule) in [
         (ArrivalProcess::bursty(1e-307), "bursty cycle must expect"),
         (
             ArrivalProcess::flash_crowd(1e-6, 10.0, 0.0, 1.0),
-            "peak_rate must be at most",
+            "flash-crowd peak_rate must be at most",
+        ),
+        (
+            diurnal(1e-6, 10.0, 1e12),
+            "diurnal peak_rate must be at most",
+        ),
+        (
+            diurnal(1e-300, 1.0, 1e300),
+            "diurnal peak_rate must be at most",
         ),
     ] {
         let (done, result) = std::sync::mpsc::channel();
