@@ -482,8 +482,9 @@ mod tests {
 
     #[test]
     fn row_targets_into_replaces_what_a_reused_buffer_held() {
-        // Dense global rows, window rows and random targets, visited in
-        // an order where each row follows a longer one.
+        // Dense global rows, window rows and random targets, into a buffer
+        // that starts out stale, in an order where short rows follow
+        // longer ones.
         let p = SparsityPattern::bigbird(48, 3, 2, 2, 5);
         let mut buffer = vec![usize::MAX; 100];
         for i in (0..48).rev().chain([1, 30, 0, 47]) {

@@ -18,8 +18,9 @@
 //! inherits that function's error before the final rounding.
 //!
 //! The two conversions, [`f32_to_f16_bits`] and [`f16_bits_to_f32`], sit
-//! inside every binary16 operation, so they are inlined and take one
-//! well-predicted branch on finite values.
+//! inside every binary16 operation, so they are inlined and branch only on
+//! range checks (subnormal, overflow, infinity and NaN); the rounding
+//! itself is integer and `f32` arithmetic.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -741,6 +742,59 @@ mod tests {
             let value = f32::from_bits(x);
             if f32_to_f16_bits(value) != reference_f32_to_f16_bits(value) {
                 assert_narrows_like_the_reference(x);
+            }
+        }
+    }
+
+    /// Rounds `x` straight to binary16, nearest-even, without passing
+    /// through `f32`: `x` is scaled by binary16's quantum at its
+    /// magnitude (powers of two, so exactly), rounded to an integer, and
+    /// scaled back, which leaves a binary16 value or 2¹⁶ (infinity).
+    fn round_f64_to_f16(x: f64) -> F16 {
+        let a = x.abs();
+        let quantum_exp = if a < 2f64.powi(-14) {
+            -24
+        } else {
+            ((a.to_bits() >> 52) as i32 - 1023) - 10
+        };
+        let quantum = 2f64.powi(quantum_exp);
+        let r = (a / quantum).round_ties_even() * quantum;
+        F16::from_f32(if x.is_sign_negative() { -r } else { r } as f32)
+    }
+
+    #[test]
+    fn arithmetic_through_f32_is_correctly_rounded() {
+        // The module doc's claim: rounding the `f32` result of +, −, ×, ÷
+        // or √ to binary16 equals one rounding of the exact result. `f64`
+        // holds every binary16 sum, difference and product exactly, and a
+        // quotient or root rounded to 53 bits rounds to 11 like the
+        // exact value. Operands: every exponent and sign, with mantissas
+        // at and next to the ends and the middle.
+        let mut operands = Vec::new();
+        for sign in [0u16, 0x8000] {
+            for exp in 0..=30u16 {
+                for man in [0u16, 1, 0x155, 0x200, 0x3FF] {
+                    operands.push(F16::from_bits(sign | (exp << 10) | man));
+                }
+            }
+        }
+        let check = |op: char, a: F16, b: F16, got: F16, exact: f64| {
+            let want = round_f64_to_f16(exact);
+            if want.is_nan() {
+                assert!(got.is_nan(), "{a:?} {op} {b:?} = {got:?}, want NaN");
+            } else {
+                assert_eq!(got.to_bits(), want.to_bits(), "{a:?} {op} {b:?}");
+            }
+        };
+        for &a in &operands {
+            let x = a.to_f64();
+            check('√', a, a, a.sqrt(), x.sqrt());
+            for &b in &operands {
+                let y = b.to_f64();
+                check('+', a, b, a + b, x + y);
+                check('-', a, b, a - b, x - y);
+                check('*', a, b, a * b, x * y);
+                check('/', a, b, a / b, x / y);
             }
         }
     }
